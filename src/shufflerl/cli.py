@@ -3,8 +3,8 @@
 Subcommands: ingest, synth, train, evaluate, compare. Exit codes are a
 stable scripting contract: 0 success, 1 usage/config error, 2 data error,
 3 runtime error. No command mutates its inputs; all outputs land under the
-declared output directory. ``SHUFFLERL_THREADS`` caps how many seeds train
-in parallel.
+declared output directory. ``SHUFFLERL_THREADS`` caps how many runs (agent
+and seed pairs) train in parallel.
 """
 
 from __future__ import annotations
@@ -58,13 +58,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _seed_workers(n_seeds: int) -> int:
+def _seed_workers(n_jobs: int) -> int:
     raw = os.environ.get("SHUFFLERL_THREADS", "1")
     try:
         cap = max(1, int(raw))
     except ValueError:
         raise ConfigError(f"SHUFFLERL_THREADS must be an integer, got {raw!r}") from None
-    return min(cap, n_seeds)
+    return min(cap, n_jobs)
 
 
 def _write_run_curve_csv(path: Path, agent: str, seed: int, curve) -> None:
@@ -179,8 +179,8 @@ def _execute_runs(
             if not cached:
                 jobs.append((agent, seed, run_dir))
     _write_manifest(out_dir, config, fingerprint, runs, dataset.ticker_count)
-    workers = _seed_workers(len(config.seeds))
-    if workers > 1 and len(jobs) > 1:
+    workers = _seed_workers(len(jobs))
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_train_one, config, dataset, agent, seed, run_dir, fingerprint)

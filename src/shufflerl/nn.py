@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from shufflerl.errors import NonFiniteError, ShuffleRlError
 
@@ -36,28 +37,20 @@ def conv_output_size(size: int, kernel: int, stride: int) -> int:
     return (size - kernel) // stride + 1
 
 
-def _window_index_map(c: int, h: int, w: int, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
-    """Flat gather indices turning (c, h, w) into (c*kh*kw, oh*ow) patches."""
-    oh = conv_output_size(h, kh, sh)
-    ow = conv_output_size(w, kw, sw)
-    ci = np.arange(c).reshape(c, 1, 1, 1, 1)
-    u = np.arange(kh).reshape(1, kh, 1, 1, 1)
-    v = np.arange(kw).reshape(1, 1, kw, 1, 1)
-    p = np.arange(oh).reshape(1, 1, 1, oh, 1)
-    q = np.arange(ow).reshape(1, 1, 1, 1, ow)
-    flat = ci * (h * w) + (p * sh + u) * w + (q * sw + v)
-    return flat.reshape(c * kh * kw, oh * ow)
-
-
 class Conv2d:
-    """Valid cross-correlation over (batch, channels, height, width)."""
+    """Valid cross-correlation over (batch, channels, height, width).
+
+    Unrolled into one GEMM (Chellapilla, Puri and Simard, 2006): each output
+    position's receptive field becomes a column of ``cols``, laid out batch
+    first as (B, C*kh*kw, oh*ow) so that neither ``out`` nor ``dout`` needs a
+    transposing copy.
+    """
 
     def __init__(self, name: str, weight: np.ndarray, bias: np.ndarray, stride: tuple[int, int]):
         self.name = name
         self.weight = weight  # (out_ch, in_ch, kh, kw)
         self.bias = bias  # (out_ch,)
         self.stride = stride
-        self._index_cache: dict[tuple, np.ndarray] = {}
 
     def params(self):
         return [(f"{self.name}.weight", self.weight), (f"{self.name}.bias", self.bias)]
@@ -65,40 +58,39 @@ class Conv2d:
     def buffers(self):
         return []
 
-    def _indices(self, c: int, h: int, w: int) -> np.ndarray:
-        key = (c, h, w)
-        if key not in self._index_cache:
-            kh, kw = self.weight.shape[2:]
-            self._index_cache[key] = _window_index_map(c, h, w, kh, kw, *self.stride)
-        return self._index_cache[key]
-
     def forward(self, x: np.ndarray):
         out_ch, in_ch, kh, kw = self.weight.shape
         if x.ndim != 4 or x.shape[1] != in_ch:
             raise ShuffleRlError(f"{self.name}: expected (B, {in_ch}, H, W), got {x.shape}")
         b, c, h, w = x.shape
-        oh = conv_output_size(h, kh, self.stride[0])
-        ow = conv_output_size(w, kw, self.stride[1])
-        idx = self._indices(c, h, w)
-        cols = x.reshape(b, c * h * w)[:, idx]  # (b, c*kh*kw, oh*ow)
-        w_mat = self.weight.reshape(out_ch, -1)
-        out = np.einsum("ok,bkn->bon", w_mat, cols) + self.bias[None, :, None]
+        sh, sw = self.stride
+        oh = conv_output_size(h, kh, sh)
+        ow = conv_output_size(w, kw, sw)
+        windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]  # (b, c, oh, ow, kh, kw)
+        cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, oh * ow)
+        out = self.weight.reshape(out_ch, -1) @ cols
+        out += self.bias[:, None]
         out = out.reshape(b, out_ch, oh, ow)
         _check_finite(self.name, out)
-        return out, (x.shape, cols, idx)
+        return out, (x.shape, cols)
 
     def backward(self, cache, dout: np.ndarray):
-        x_shape, cols, idx = cache
+        x_shape, cols = cache
         b = x_shape[0]
-        out_ch = self.weight.shape[0]
-        dout_mat = dout.reshape(b, out_ch, -1)
-        w_mat = self.weight.reshape(out_ch, -1)
-        dweight = np.einsum("bkn,bon->ok", cols, dout_mat).reshape(self.weight.shape)
+        out_ch, in_ch, kh, kw = self.weight.shape
+        sh, sw = self.stride
+        oh, ow = dout.shape[2:]
+        dout_mat = dout.reshape(b, out_ch, oh * ow)
+        dweight = (dout_mat @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.weight.shape)
         dbias = dout_mat.sum(axis=(0, 2))
-        dcols = np.einsum("ok,bon->bkn", w_mat, dout_mat)
-        dx_flat = np.zeros((b, int(np.prod(x_shape[1:]))))
-        np.add.at(dx_flat, (np.arange(b)[:, None, None], idx[None, :, :]), dcols)
-        dx = dx_flat.reshape(x_shape)
+        # col2im one kernel row at a time keeps the input-gradient columns at
+        # 1/kh of the im2col size.
+        dx = np.zeros(x_shape)
+        for u in range(kh):
+            w_row = self.weight[:, :, u, :].reshape(out_ch, in_ch * kw)
+            dcols = (w_row.T @ dout_mat).reshape(b, in_ch, kw, oh, ow)
+            for v in range(kw):
+                dx[:, :, u : u + sh * oh : sh, v : v + sw * ow : sw] += dcols[:, :, v]
         _check_finite(f"{self.name}.backward", dx, dweight, dbias)
         return dx, {f"{self.name}.weight": dweight, f"{self.name}.bias": dbias}
 

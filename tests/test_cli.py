@@ -1,9 +1,11 @@
 import csv
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from shufflerl import cli
 from shufflerl.archive import load_archive, save_archive
 from shufflerl.cli import main
 from shufflerl.data import generate_synthetic_market
@@ -275,19 +277,21 @@ class TestCliTrain:
         assert runs == ["mlp-seed5"]
 
     def test_parallel_seed_workers_match_sequential(self, tmp_path, archive, monkeypatch):
-        cfg_a = base_config(archive, out=tmp_path / "seq", agent=MLP_AGENT, seeds=(0, 1))
+        agents = [MLP_AGENT, CNN_AGENT]
+        cfg_a = base_config(archive, out=tmp_path / "seq", agents=agents, seeds=(0, 1))
         write_json(tmp_path / "a.json", cfg_a)
         monkeypatch.delenv("SHUFFLERL_THREADS", raising=False)
         assert main(["train", "--config", str(tmp_path / "a.json")]) == 0
-        cfg_b = base_config(archive, out=tmp_path / "par", agent=MLP_AGENT, seeds=(0, 1))
+        cfg_b = base_config(archive, out=tmp_path / "par", agents=agents, seeds=(0, 1))
         write_json(tmp_path / "b.json", cfg_b)
         monkeypatch.setenv("SHUFFLERL_THREADS", "2")
         assert main(["train", "--config", str(tmp_path / "b.json")]) == 0
-        for seed in (0, 1):
-            rel = f"runs/mlp-seed{seed}/curve.csv"
-            assert (tmp_path / "seq" / rel).read_bytes() == (tmp_path / "par" / rel).read_bytes()
-            rel = f"runs/mlp-seed{seed}/checkpoint/params.bin"
-            assert (tmp_path / "seq" / rel).read_bytes() == (tmp_path / "par" / rel).read_bytes()
+        for kind in ("mlp", "cnn"):
+            for seed in (0, 1):
+                rel = f"runs/{kind}-seed{seed}/curve.csv"
+                assert (tmp_path / "seq" / rel).read_bytes() == (tmp_path / "par" / rel).read_bytes()
+                rel = f"runs/{kind}-seed{seed}/checkpoint/params.bin"
+                assert (tmp_path / "seq" / rel).read_bytes() == (tmp_path / "par" / rel).read_bytes()
 
     def test_bad_threads_env_rejected(self, tmp_path, archive, monkeypatch, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -399,6 +403,22 @@ class TestCliCompare:
         manifest = json.loads((tmp_path / "cmp" / "manifest.json").read_text())
         assert all(run["reused"] for run in manifest["runs"])
         assert (tmp_path / "cmp" / "curves.csv").read_bytes() == first_curves
+
+    def test_one_seed_agents_share_the_pool(self, tmp_path, archive, monkeypatch):
+        pool_sizes = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pool_sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setenv("SHUFFLERL_THREADS", "2")
+        cfg = base_config(archive, out=tmp_path / "cmp", agents=[MLP_AGENT, CNN_AGENT])
+        path = tmp_path / "cmp.json"
+        write_json(path, cfg)
+        assert main(["compare", "--config", str(path)]) == 0
+        assert pool_sizes == [2]
 
     def test_fewer_than_two_agents(self, tmp_path, archive, capsys):
         cfg = base_config(archive, out=tmp_path / "cmp", agents=[MLP_AGENT])

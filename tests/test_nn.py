@@ -61,6 +61,32 @@ class TestConvForward:
         assert out.shape == (1, 1, 1, 1)
         assert out[0, 0, 0, 0] == 5.0
 
+    def test_matches_nested_loop_cross_correlation(self):
+        # Stride remainders on both axes ((10-3) % 2 and (12-2) % 3), two
+        # input channels and an asymmetric non-square kernel, so any mix-up
+        # of window order (kh/kw, channel, stride axis) changes the output.
+        rng = np.random.default_rng(11)
+        weight = rng.standard_normal((3, 2, 3, 2))
+        bias = rng.standard_normal(3)
+        x = rng.standard_normal((2, 2, 10, 12))
+        sh, sw = 2, 3
+        out, _ = Conv2d("c", weight, bias, (sh, sw)).forward(x)
+        batch, out_ch, in_ch, kh, kw = 2, 3, 2, 3, 2
+        oh, ow = (10 - kh) // sh + 1, (12 - kw) // sw + 1
+        expected = np.zeros((batch, out_ch, oh, ow))
+        for n in range(batch):
+            for o in range(out_ch):
+                for i in range(oh):
+                    for j in range(ow):
+                        acc = bias[o]
+                        for c in range(in_ch):
+                            for u in range(kh):
+                                for v in range(kw):
+                                    acc += weight[o, c, u, v] * x[n, c, i * sh + u, j * sw + v]
+                        expected[n, o, i, j] = acc
+        assert out.shape == expected.shape
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
     def test_bias_added(self):
         layer = Conv2d("c", np.ones((2, 1, 1, 1)), np.array([1.0, -2.0]), (1, 1))
         x = np.zeros((1, 1, 2, 2))
@@ -118,10 +144,15 @@ class TestConvBackward:
         result = fd_check_layer(layer, x, seed=6)
         assert result.max_rel_error < 1e-5, str(result)
 
-    def test_finite_differences_strided_multichannel(self):
+    @pytest.mark.parametrize(
+        "x_shape",
+        [(2, 2, 7, 8), (2, 2, 8, 10), (1, 2, 8, 10)],
+        ids=["exact-fit", "stride-remainders", "batch1"],
+    )
+    def test_finite_differences_strided_multichannel(self, x_shape):
         rng = np.random.default_rng(7)
         layer = Conv2d("c", rng.standard_normal((3, 2, 3, 2)), rng.standard_normal(3), (2, 3))
-        x = rng.standard_normal((2, 2, 7, 8))
+        x = rng.standard_normal(x_shape)
         result = fd_check_layer(layer, x, seed=8, max_entries=40)
         assert result.max_rel_error < 1e-5, str(result)
 
