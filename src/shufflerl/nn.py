@@ -74,7 +74,7 @@ class Conv2d:
         _check_finite(self.name, out)
         return out, (x.shape, cols)
 
-    def backward(self, cache, dout: np.ndarray):
+    def backward(self, cache, dout: np.ndarray, need_dx: bool = True):
         x_shape, cols = cache
         b = x_shape[0]
         out_ch, in_ch, kh, kw = self.weight.shape
@@ -83,6 +83,10 @@ class Conv2d:
         dout_mat = dout.reshape(b, out_ch, oh * ow)
         dweight = (dout_mat @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.weight.shape)
         dbias = dout_mat.sum(axis=(0, 2))
+        grads = {f"{self.name}.weight": dweight, f"{self.name}.bias": dbias}
+        _check_finite(f"{self.name}.backward", dweight, dbias)
+        if not need_dx:
+            return None, grads
         # col2im one kernel row at a time keeps the input-gradient columns at
         # 1/kh of the im2col size.
         dx = np.zeros(x_shape)
@@ -91,8 +95,8 @@ class Conv2d:
             dcols = (w_row.T @ dout_mat).reshape(b, in_ch, kw, oh, ow)
             for v in range(kw):
                 dx[:, :, u : u + sh * oh : sh, v : v + sw * ow : sw] += dcols[:, :, v]
-        _check_finite(f"{self.name}.backward", dx, dweight, dbias)
-        return dx, {f"{self.name}.weight": dweight, f"{self.name}.bias": dbias}
+        _check_finite(f"{self.name}.backward", dx)
+        return dx, grads
 
 
 class BatchNorm2d:
@@ -224,13 +228,17 @@ class Linear:
         _check_finite(self.name, out)
         return out, x
 
-    def backward(self, cache, dout: np.ndarray):
+    def backward(self, cache, dout: np.ndarray, need_dx: bool = True):
         x = cache
-        dx = dout @ self.weight
         dweight = dout.T @ x
         dbias = dout.sum(axis=0)
-        _check_finite(f"{self.name}.backward", dx, dweight, dbias)
-        return dx, {f"{self.name}.weight": dweight, f"{self.name}.bias": dbias}
+        grads = {f"{self.name}.weight": dweight, f"{self.name}.bias": dbias}
+        _check_finite(f"{self.name}.backward", dweight, dbias)
+        if not need_dx:
+            return None, grads
+        dx = dout @ self.weight
+        _check_finite(f"{self.name}.backward", dx)
+        return dx, grads
 
 
 class Sequential:
@@ -256,12 +264,22 @@ class Sequential:
             caches.append(cache)
         return x, caches
 
-    def backward(self, caches, dout: np.ndarray):
+    def backward(self, caches, dout: np.ndarray) -> dict[str, np.ndarray]:
+        """Parameter gradients of the chain.
+
+        Nothing needs the gradient with respect to the chain's input, so the
+        walk stops at the first layer with parameters (a Conv2d or a Linear)
+        and asks it for its parameter gradients only.
+        """
+        first = next((i for i, layer in enumerate(self.layers) if layer.params()), len(self.layers))
         grads: dict[str, np.ndarray] = {}
-        for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            dout, layer_grads = layer.backward(cache, dout)
+        for i in range(len(self.layers) - 1, first, -1):
+            dout, layer_grads = self.layers[i].backward(caches[i], dout)
             grads.update(layer_grads)
-        return dout, grads
+        if first < len(self.layers):
+            _, layer_grads = self.layers[first].backward(caches[first], dout, need_dx=False)
+            grads.update(layer_grads)
+        return grads
 
     def set_training(self, training: bool):
         for layer in self.layers:
@@ -451,7 +469,7 @@ class ActorCritic:
         caches, policy_cache, value_cache = cache
         dembed_p, policy_grads = self.policy_head.backward(policy_cache, dmu)
         dembed_v, value_grads = self.value_head.backward(value_cache, dvalue[:, None])
-        _, extractor_grads = self.extractor.backward(caches, dembed_p + dembed_v)
+        extractor_grads = self.extractor.backward(caches, dembed_p + dembed_v)
         return {**extractor_grads, **policy_grads, **value_grads}
 
     def log_std_grad_mask(self) -> np.ndarray:

@@ -275,6 +275,12 @@ def ppo_loss_and_grads(
     return diagnostics, grads
 
 
+# Adam walks each tensor in chunks of this many elements, so that every
+# elementwise pass of the update runs on cache-resident scratch instead of a
+# fresh parameter-sized temporary.
+_ADAM_CHUNK = 1 << 15
+
+
 class Adam:
     """Adaptive-moment gradient descent with bias correction."""
 
@@ -286,6 +292,9 @@ class Adam:
         beta2: float = 0.999,
         eps: float = 1e-8,
     ):
+        for name, p in params:
+            if not p.flags.c_contiguous:
+                raise ShuffleRlError(f"Adam needs C-contiguous parameters, {name} is not")
         self.params = params
         self.learning_rate = learning_rate
         self.beta1 = beta1
@@ -294,20 +303,39 @@ class Adam:
         self.m = {name: np.zeros_like(p) for name, p in params}
         self.v = {name: np.zeros_like(p) for name, p in params}
         self.t = 0
+        self._scratch = (np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK))
 
     def step(self, grads: dict[str, np.ndarray]):
+        """``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g**2`` and
+        ``p -= lr * (m/bias1) / (sqrt(v/bias2) + eps)``, with every float
+        operation in that order, so the result is bit-for-bit the one the
+        whole-tensor expression gives."""
         self.t += 1
         bias1 = 1.0 - self.beta1**self.t
         bias2 = 1.0 - self.beta2**self.t
         for name, param in self.params:
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g**2
-            param -= self.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            p = param.reshape(-1)
+            g = grads[name].reshape(-1)
+            m = self.m[name].reshape(-1)
+            v = self.v[name].reshape(-1)
+            for start in range(0, p.size, _ADAM_CHUNK):
+                chunk = slice(start, start + _ADAM_CHUNK)
+                pc, gc, mc, vc = p[chunk], g[chunk], m[chunk], v[chunk]
+                t, d = (buf[: pc.size] for buf in self._scratch)
+                mc *= self.beta1
+                np.multiply(gc, 1.0 - self.beta1, out=t)
+                mc += t
+                vc *= self.beta2
+                np.square(gc, out=t)
+                t *= 1.0 - self.beta2
+                vc += t
+                np.divide(vc, bias2, out=d)
+                np.sqrt(d, out=d)
+                d += self.eps
+                np.divide(mc, bias1, out=t)
+                t *= self.learning_rate
+                t /= d
+                pc -= t
 
 
 def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:

@@ -263,6 +263,27 @@ class TestReluAndLinear:
         np.testing.assert_array_equal(dx, x)
 
 
+class TestNoInputGradient:
+    @pytest.mark.parametrize(
+        "layer, x_shape",
+        [
+            (Conv2d("c", np.arange(36.0).reshape(3, 2, 3, 2) / 7 - 2, np.arange(3.0), (2, 3)), (2, 2, 8, 10)),
+            (Linear("l", np.arange(15.0).reshape(3, 5) / 4 - 1, np.arange(3.0)), (4, 5)),
+        ],
+        ids=["conv", "linear"],
+    )
+    def test_param_grads_match_full_call(self, layer, x_shape):
+        rng = np.random.default_rng(20)
+        out, cache = layer.forward(rng.standard_normal(x_shape))
+        upstream = rng.standard_normal(out.shape)
+        dx_full, full = layer.backward(cache, upstream)
+        dx, grads = layer.backward(cache, upstream, need_dx=False)
+        assert dx is None and dx_full is not None
+        assert grads.keys() == full.keys()
+        for name in full:
+            assert grads[name].tobytes() == full[name].tobytes(), name
+
+
 TOY_ARCH = ArchSpec(
     kind="cnn",
     conv_channels=(3, 4),
@@ -312,7 +333,7 @@ class TestExtractors:
         def compute_loss():
             out, caches = extractor.forward(x)
             loss = float((out * projection).sum())
-            _, grads = extractor.backward(caches, projection)
+            grads = extractor.backward(caches, projection)
             return loss, grads
 
         result = grad_check(compute_loss, extractor.params())
@@ -330,7 +351,7 @@ class TestExtractors:
         def compute_loss():
             out, caches = extractor.forward(x)
             loss = float((out * projection).sum())
-            _, grads = extractor.backward(caches, projection)
+            grads = extractor.backward(caches, projection)
             return loss, grads
 
         result = grad_check(compute_loss, extractor.params(), max_entries_per_param=25)
@@ -341,6 +362,37 @@ class TestExtractors:
         x = np.full((1, 1, 6, 8), np.inf)
         with pytest.raises(NonFiniteError, match="conv1"):
             extractor.forward(x)
+
+
+def full_chain_grads(net, cache, dmu, dvalue):
+    """Reference: ActorCritic.backward walking every layer, input gradients included."""
+    caches, policy_cache, value_cache = cache
+    dembed_p, grads = net.policy_head.backward(policy_cache, dmu)
+    dembed_v, value_grads = net.value_head.backward(value_cache, dvalue[:, None])
+    grads = {**grads, **value_grads}
+    dout = dembed_p + dembed_v
+    for layer, layer_cache in zip(reversed(net.extractor.layers), reversed(caches)):
+        dout, layer_grads = layer.backward(layer_cache, dout)
+        grads.update(layer_grads)
+    return grads
+
+
+@pytest.mark.parametrize(
+    "arch, obs_shape",
+    [(TOY_ARCH, (6, 8)), (ArchSpec(kind="mlp", mlp_hidden=(5, 3)), (4, 6))],
+    ids=["cnn", "mlp-flatten-first"],
+)
+def test_actor_critic_grads_match_full_chain_walk(arch, obs_shape):
+    net = ActorCritic(arch, obs_shape, 3, seed=22)
+    rng = np.random.default_rng(23)
+    mu, value, cache = net.forward(rng.standard_normal((4, *obs_shape)))
+    dmu = rng.standard_normal(mu.shape)
+    dvalue = rng.standard_normal(value.shape)
+    grads = net.backward(cache, dmu, dvalue)
+    reference = full_chain_grads(net, cache, dmu, dvalue)
+    assert grads.keys() == reference.keys()
+    for name in reference:
+        assert grads[name].tobytes() == reference[name].tobytes(), name
 
 
 class TestInit:

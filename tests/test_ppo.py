@@ -12,6 +12,7 @@ from shufflerl.errors import ShuffleRlError
 from shufflerl.features import SHUFFLED
 from shufflerl.nn import ActorCritic, ArchSpec, grad_check
 from shufflerl.ppo import (
+    _ADAM_CHUNK,
     Adam,
     AgentSpec,
     PpoConfig,
@@ -30,6 +31,34 @@ from shufflerl.ppo import (
 )
 
 MLP_ARCH = ArchSpec(kind="mlp", mlp_hidden=(8, 8))
+
+
+class WholeTensorAdam:
+    """Reference: the Adam update as one whole-tensor expression per step."""
+
+    def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
+        self.learning_rate = learning_rate
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.m = {name: np.zeros_like(p) for name, p in params}
+        self.v = {name: np.zeros_like(p) for name, p in params}
+        self.t = 0
+
+    def step(self, grads):
+        self.t += 1
+        bias1 = 1.0 - self.beta1**self.t
+        bias2 = 1.0 - self.beta2**self.t
+        for name, param in self.params:
+            g = grads[name]
+            m = self.m[name]
+            v = self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g**2
+            param -= self.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
 
 
 class SignBandit:
@@ -265,6 +294,25 @@ class TestOptimizer:
         opt.step(grads)
         for name, p in net.named_parameters():
             np.testing.assert_array_equal(p, before[name])
+
+    def test_chunked_adam_byte_identical_to_whole_tensor_expression(self):
+        # Two whole chunks, a tensor longer than a chunk whose size is not a
+        # multiple of it, and one shorter than a chunk.
+        shapes = {"whole": (2, _ADAM_CHUNK), "ragged": (2 * _ADAM_CHUNK + 999,), "small": (7, 3)}
+        rng = np.random.default_rng(21)
+        start = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+        chunked_params = [(name, p.copy()) for name, p in start.items()]
+        whole_params = [(name, p.copy()) for name, p in start.items()]
+        chunked = Adam(chunked_params, learning_rate=3e-4)
+        whole = WholeTensorAdam(whole_params, learning_rate=3e-4)
+        for step in range(5):
+            grads = {name: rng.standard_normal(shape) * 10.0**-step for name, shape in shapes.items()}
+            chunked.step(grads)
+            whole.step(grads)
+        for (name, p), (_, q) in zip(chunked_params, whole_params):
+            assert p.tobytes() == q.tobytes(), name
+            assert chunked.m[name].tobytes() == whole.m[name].tobytes(), name
+            assert chunked.v[name].tobytes() == whole.v[name].tobytes(), name
 
     def test_clip_grad_norm(self):
         grads = {"a": np.array([3.0, 4.0])}  # norm 5
