@@ -29,6 +29,12 @@ def _check_finite(name: str, *arrays: np.ndarray) -> None:
             raise NonFiniteError(name)
 
 
+def _channel_sum(a: np.ndarray) -> np.ndarray:
+    """Per-channel sum of a (B, C, H, W) array: contiguous rows first, then
+    the batch, which is much faster than a strided ``axis=(0, 2, 3)`` sum."""
+    return a.reshape(a.shape[0], a.shape[1], -1).sum(axis=2).sum(axis=0)
+
+
 def conv_output_size(size: int, kernel: int, stride: int) -> int:
     if kernel > size:
         raise ShuffleRlError(f"kernel {kernel} larger than input {size}")
@@ -138,20 +144,24 @@ class BatchNorm2d:
             n = b * h * w
             if n < 2:
                 raise ShuffleRlError(f"{self.name}: train mode needs >= 2 elements per channel, got {n}")
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))  # biased, used for normalization
+            mean = _channel_sum(x) / n
+            xhat = x - mean.reshape(shape)  # centred here, scaled in place below
+            out = np.square(xhat)  # scratch for the variance; reused for the output
+            var = _channel_sum(out) / n  # biased, used for normalization
             inv_std = 1.0 / np.sqrt(var + self.eps)
-            xhat = (x - mean.reshape(shape)) * inv_std.reshape(shape)
+            xhat *= inv_std.reshape(shape)
             self.running_mean[:] = (1 - self.momentum) * self.running_mean + self.momentum * mean
             self.running_var[:] = (
                 (1 - self.momentum) * self.running_var + self.momentum * var * n / (n - 1)
             )
+            np.multiply(self.gamma.reshape(shape), xhat, out=out)
+            out += self.beta.reshape(shape)
             cache = (xhat, inv_std, n)
         else:
             inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
             xhat = (x - self.running_mean.reshape(shape)) * inv_std.reshape(shape)
+            out = self.gamma.reshape(shape) * xhat + self.beta.reshape(shape)
             cache = None  # backward is defined for train mode only
-        out = self.gamma.reshape(shape) * xhat + self.beta.reshape(shape)
         _check_finite(self.name, out)
         return out, cache
 
@@ -160,14 +170,17 @@ class BatchNorm2d:
             raise ShuffleRlError(f"{self.name}: backward requires a train-mode forward cache")
         xhat, inv_std, n = cache
         shape = (1, -1, 1, 1)
-        dgamma = (dout * xhat).sum(axis=(0, 2, 3))
-        dbeta = dout.sum(axis=(0, 2, 3))
-        dxhat = dout * self.gamma.reshape(shape)
-        sum_dxhat = dxhat.sum(axis=(0, 2, 3))
-        sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2, 3))
-        dx = (inv_std.reshape(shape) / n) * (
-            n * dxhat - sum_dxhat.reshape(shape) - xhat * sum_dxhat_xhat.reshape(shape)
-        )
+        # With dxhat = gamma * dout, sum(dxhat) = gamma * dbeta and
+        # sum(dxhat * xhat) = gamma * dgamma, so
+        # dx = (gamma * inv_std / n) * (n * dout - dbeta - xhat * dgamma).
+        dbeta = _channel_sum(dout)
+        scratch = dout * xhat
+        dgamma = _channel_sum(scratch)
+        np.multiply(xhat, dgamma.reshape(shape), out=scratch)
+        dx = n * dout
+        dx -= dbeta.reshape(shape)
+        dx -= scratch
+        dx *= (self.gamma * inv_std / n).reshape(shape)
         _check_finite(f"{self.name}.backward", dx, dgamma, dbeta)
         return dx, {f"{self.name}.gamma": dgamma, f"{self.name}.beta": dbeta}
 

@@ -228,6 +228,61 @@ class TestBatchNorm:
             layer.backward(cache, np.zeros((1, 1, 2, 2)))
 
 
+def reference_batchnorm_train(layer, x):
+    """Reference: the direct train-mode formulas, as (out, running_mean,
+    running_var, backward) with ``backward(dout) -> (dx, dgamma, dbeta)``."""
+    shape = (1, -1, 1, 1)
+    n = x.shape[0] * x.shape[2] * x.shape[3]
+    mean = x.mean(axis=(0, 2, 3))
+    var = x.var(axis=(0, 2, 3))
+    inv_std = 1.0 / np.sqrt(var + layer.eps)
+    xhat = (x - mean.reshape(shape)) * inv_std.reshape(shape)
+    out = layer.gamma.reshape(shape) * xhat + layer.beta.reshape(shape)
+    m = layer.momentum
+    running_mean = (1 - m) * layer.running_mean + m * mean
+    running_var = (1 - m) * layer.running_var + m * var * n / (n - 1)
+
+    def backward(dout):
+        dgamma = (dout * xhat).sum(axis=(0, 2, 3))
+        dbeta = dout.sum(axis=(0, 2, 3))
+        dxhat = dout * layer.gamma.reshape(shape)
+        sum_dxhat = dxhat.sum(axis=(0, 2, 3))
+        sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2, 3))
+        dx = (inv_std.reshape(shape) / n) * (
+            n * dxhat - sum_dxhat.reshape(shape) - xhat * sum_dxhat_xhat.reshape(shape)
+        )
+        return dx, dgamma, dbeta
+
+    return out, running_mean, running_var, backward
+
+
+@pytest.mark.parametrize(
+    "x_shape", [(3, 4, 5, 7), (1, 3, 2, 3), (16, 8, 9, 31)], ids=["odd-hw", "batch1", "wide"]
+)
+def test_batchnorm_train_mode_matches_reference_formulas(x_shape):
+    rng = np.random.default_rng(24)
+    channels = x_shape[1]
+    layer = BatchNorm2d("bn", rng.uniform(0.5, 1.5, channels), rng.standard_normal(channels))
+    layer.running_mean[:] = rng.standard_normal(channels)
+    layer.running_var[:] = rng.uniform(0.5, 2.0, channels)
+    x = rng.standard_normal(x_shape) * 3.0 + 2.0
+    dout = rng.standard_normal(x_shape)
+    out_ref, running_mean_ref, running_var_ref, backward_ref = reference_batchnorm_train(layer, x)
+    out, cache = layer.forward(x)
+    dx, grads = layer.backward(cache, dout)
+    dx_ref, dgamma_ref, dbeta_ref = backward_ref(dout)
+
+    def assert_close(actual, expected):
+        assert np.abs(actual - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    assert_close(out, out_ref)
+    assert_close(layer.running_mean, running_mean_ref)
+    assert_close(layer.running_var, running_var_ref)
+    assert_close(dx, dx_ref)
+    assert_close(grads["bn.gamma"], dgamma_ref)
+    assert_close(grads["bn.beta"], dbeta_ref)
+
+
 class TestReluAndLinear:
     def test_relu_values(self):
         layer = ReLU("r")
