@@ -340,7 +340,7 @@ class Adam:
 
 def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``."""
-    total = math.sqrt(sum(float(np.sum(g**2)) for g in grads.values()))
+    total = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
     if total > max_norm:
         scale = max_norm / (total + 1e-6)
         for g in grads.values():
