@@ -153,6 +153,14 @@ def _prepare_training(args, require_comparison: bool) -> tuple[RunConfig, Market
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset, fingerprint = materialize_dataset(config.dataset)
     train_split, _ = resolve_split(dataset, config.split)
+    if require_comparison:
+        trained = config.ppo.total_timesteps // config.ppo.rollout_length * config.ppo.rollout_length
+        episode = train_split.n_days - config.env.window_length
+        if trained < episode:
+            raise ConfigError(
+                f"{trained} trained steps cannot finish one {episode}-step episode of the training "
+                f"split, so no run would have a curve to compare: raise ppo.total_timesteps"
+            )
     return config, train_split, fingerprint, out_dir
 
 

@@ -355,10 +355,15 @@ def update(
     config: PpoConfig,
     rng: np.random.Generator,
 ) -> dict:
-    """One PPO update: several epochs of shuffled minibatches over the buffer."""
+    """One PPO update: several epochs of shuffled minibatches over the buffer.
+
+    Returns the mean over minibatches of each loss diagnostic and of the
+    pre-clip gradient norm (``grad_norm``).
+    """
     if not buffer.full:
         raise ShuffleRlError("update requires a full rollout buffer")
     diagnostics: list[LossDiagnostics] = []
+    grad_norms: list[float] = []
     for _ in range(config.epochs_per_update):
         order = rng.permutation(buffer.length)
         for start in range(0, buffer.length, config.minibatch_size):
@@ -374,11 +379,13 @@ def update(
                 buffer.returns[idx],
                 config,
             )
-            clip_grad_norm(grads, config.max_grad_norm)
+            grad_norms.append(clip_grad_norm(grads, config.max_grad_norm))
             optimizer.step(grads)
             diagnostics.append(diag)
     keys = ("loss", "policy_loss", "value_loss", "entropy", "clip_fraction", "approx_kl")
-    return {k: float(np.mean([getattr(d, k) for d in diagnostics])) for k in keys}
+    stats = {k: float(np.mean([getattr(d, k) for d in diagnostics])) for k in keys}
+    stats["grad_norm"] = float(np.mean(grad_norms))
+    return stats
 
 
 @dataclass

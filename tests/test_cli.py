@@ -427,6 +427,21 @@ class TestCliCompare:
         assert main(["compare", "--config", str(path)]) == 1
 
 
+    def test_no_finished_episode_fails_before_training(self, tmp_path, archive, monkeypatch, capsys):
+        # 24 days with a window of 4 is a 20-step episode; 31 timesteps in
+        # 16-step rollouts train only 16 steps.
+        def no_training(*args):
+            raise AssertionError("compare trained a run")
+
+        monkeypatch.setattr(cli, "_train_one", no_training)
+        cfg = base_config(archive, out=tmp_path / "cmp", agents=[MLP_AGENT, CNN_AGENT])
+        cfg["ppo"]["total_timesteps"] = 31
+        path = tmp_path / "cmp.json"
+        write_json(path, cfg)
+        assert main(["compare", "--config", str(path)]) == 1
+        assert "16 trained steps cannot finish one 20-step episode" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_usage_error(self, capsys):
         assert main(["train"]) == 1  # --config required

@@ -404,8 +404,10 @@ class TestTrainLoop:
                      AgentSpec(kind="cnn-shuffled", arch=cnn_arch)):
             result = train(self._dataset(), self._env_cfg(), spec, cfg)
             assert len(result.update_stats) == 1
-            for key in ("loss", "policy_loss", "value_loss", "entropy", "clip_fraction", "approx_kl"):
+            for key in ("loss", "policy_loss", "value_loss", "entropy", "clip_fraction", "approx_kl",
+                        "grad_norm"):
                 assert np.isfinite(result.update_stats[0][key])
+            assert result.update_stats[0]["grad_norm"] > 0
 
     def test_bandit_policy_gradient_direction(self):
         cfg = PpoConfig(gamma=0.0, gae_lambda=1.0, learning_rate=0.01, rollout_length=128,
