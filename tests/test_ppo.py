@@ -314,6 +314,11 @@ class TestOptimizer:
             assert chunked.m[name].tobytes() == whole.m[name].tobytes(), name
             assert chunked.v[name].tobytes() == whole.v[name].tobytes(), name
 
+    def test_adam_rejects_non_contiguous_params(self):
+        # A chunk of a reshaped copy would leave the parameter unchanged.
+        with pytest.raises(ShuffleRlError, match="w"):
+            Adam([("w", np.zeros((4, 3)).T)], learning_rate=1e-3)
+
     def test_clip_grad_norm(self):
         grads = {"a": np.array([3.0, 4.0])}  # norm 5
         total = clip_grad_norm(grads, max_norm=1.0)
