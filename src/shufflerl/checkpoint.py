@@ -31,6 +31,11 @@ def _all_tensors(net: ActorCritic) -> list[tuple[str, np.ndarray, bool]]:
     return tensors
 
 
+def blob_size(manifest: dict) -> int:
+    """Bytes of the blob that the manifest's tensor shapes imply."""
+    return sum(int(np.prod(e["shape"])) for e in manifest["tensors"]) * _DTYPE.itemsize
+
+
 def save_checkpoint(directory, net: ActorCritic, metadata: dict | None = None) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -76,7 +81,7 @@ def load_checkpoint(directory) -> tuple[ActorCritic, dict]:
     if [e["name"] for e in entries] != [name for name, _, _ in tensors]:
         raise ShuffleRlError("checkpoint tensor list does not match the rebuilt architecture")
     raw = (directory / manifest["blob"]).read_bytes()
-    expected = sum(int(np.prod(e["shape"])) for e in entries) * _DTYPE.itemsize
+    expected = blob_size(manifest)
     if len(raw) != expected:
         raise ShuffleRlError(f"blob size {len(raw)} != expected {expected}")
     offset = 0

@@ -15,11 +15,12 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 from shufflerl import __version__
 from shufflerl.archive import load_archive, save_archive
-from shufflerl.checkpoint import load_checkpoint, save_checkpoint
+from shufflerl.checkpoint import MANIFEST_NAME, blob_size, load_checkpoint, save_checkpoint
 from shufflerl.data import (
     MarketDataset,
     align_forward_fill,
@@ -29,11 +30,9 @@ from shufflerl.data import (
 )
 from shufflerl.env import EnvConfig
 from shufflerl.errors import ConfigError, DataError, ShuffleRlError
-from shufflerl.features import SHUFFLED, FeatureLayout, ticker_block_permutation
 from shufflerl.metrics import compare_runs, metrics_report, write_aligned_curves_csv
 from shufflerl.ppo import (
     AgentSpec,
-    PpoConfig,
     TrainResult,
     evaluate,
     make_env_config,
@@ -67,11 +66,13 @@ def _seed_workers(n_jobs: int) -> int:
     return min(cap, n_jobs)
 
 
-def _write_run_curve_csv(path: Path, agent: str, seed: int, curve) -> None:
+def _write_curve_csv(path: Path, rows) -> None:
+    """``CURVE_HEADER`` rows (agent, seed, timestep, episode, reward); the
+    reward is written as its ``repr``, so it reads back bit-exact."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(CURVE_HEADER)
-        for timestep, episode, reward in curve:
+        for agent, seed, timestep, episode, reward in rows:
             writer.writerow([agent, seed, timestep, episode, repr(float(reward))])
 
 
@@ -84,15 +85,17 @@ def _write_stats_jsonl(path: Path, stats: list[dict]) -> None:
 def _checkpoint_metadata(
     config: RunConfig, agent: AgentSpec, seed: int, fingerprint: str
 ) -> dict:
-    metadata = {
+    """Everything that determines a run's artifacts besides the code version."""
+    resolved = config.resolved_dict()
+    return {
         "agent_kind": agent.kind,
-        "layout": agent.layout,
+        "arch": agent.resolve_arch().to_dict(),
         "dataset_fingerprint": fingerprint,
-        "env": config.resolved_dict()["env"],
-        "split": config.split.to_dict() if config.split else None,
+        "env": resolved["env"],
+        "ppo": resolved["ppo"],
+        "split": resolved["split"],
         "train_seed": seed,
     }
-    return metadata
 
 
 def _train_one(
@@ -101,23 +104,32 @@ def _train_one(
     agent: AgentSpec,
     seed: int,
     run_dir: Path,
-    fingerprint: str,
+    metadata: dict,
 ) -> TrainResult:
     run_dir.mkdir(parents=True, exist_ok=True)
-    ppo = PpoConfig(**{**{k: getattr(config.ppo, k) for k in config.ppo.__dataclass_fields__}, "seed": seed})
-    result = train(dataset, config.env, agent, ppo)
-    _write_run_curve_csv(run_dir / "curve.csv", agent.kind, seed, result.curve)
+    result = train(dataset, config.env, agent, replace(config.ppo, seed=seed))
+    _write_curve_csv(run_dir / "curve.csv", [(agent.kind, seed, *point) for point in result.curve])
     _write_stats_jsonl(run_dir / "stats.jsonl", result.update_stats)
-    save_checkpoint(run_dir / "checkpoint", result.net, _checkpoint_metadata(config, agent, seed, fingerprint))
+    save_checkpoint(run_dir / "checkpoint", result.net, metadata)
     return result
 
 
-def _run_is_cached(run_dir: Path) -> bool:
+def _run_is_cached(run_dir: Path, metadata: dict) -> bool:
+    """A run is reused only if its checkpoint records the metadata and code
+    version this run would write and its blob has the size its manifest
+    implies."""
+    checkpoint = run_dir / "checkpoint"
+    try:
+        manifest = json.loads((checkpoint / MANIFEST_NAME).read_text())
+        blob_ok = (checkpoint / manifest["blob"]).stat().st_size == blob_size(manifest)
+    except (OSError, ValueError, KeyError, TypeError):  # missing or malformed checkpoint
+        return False
     return (
-        (run_dir / "curve.csv").exists()
+        blob_ok
+        and (run_dir / "curve.csv").exists()
         and (run_dir / "stats.jsonl").exists()
-        and (run_dir / "checkpoint" / "manifest.json").exists()
-        and (run_dir / "checkpoint" / "params.bin").exists()
+        and manifest.get("code_version") == __version__
+        and manifest.get("metadata") == json.loads(json.dumps(metadata))  # as stored: tuples become lists
     )
 
 
@@ -132,20 +144,19 @@ def _write_manifest(
         "runs": runs,
         "permutations": {},
     }
-    shuffled_kinds = sorted(agent.kind for agent in config.agents if agent.layout == SHUFFLED)
-    if shuffled_kinds:
-        perm = ticker_block_permutation(FeatureLayout(ticker_count))
-        for kind in shuffled_kinds:
-            manifest["permutations"][kind] = [int(k) for k in perm.perm]
+    for agent in config.agents:
+        perm = make_env_config(config.env, agent, ticker_count).permutation
+        if perm is not None:
+            manifest["permutations"][agent.kind] = [int(k) for k in perm.perm]
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _prepare_training(args, require_comparison: bool) -> tuple[RunConfig, MarketDataset, str, Path]:
     config = load_run_config(args.config, require_comparison=require_comparison)
     if getattr(args, "seed", None) is not None:
-        config = RunConfig(**{**config.__dict__, "seeds": (args.seed,)})
+        config = replace(config, seeds=(args.seed,))
     if getattr(args, "agent", None) is not None:
-        config = RunConfig(**{**config.__dict__, "agents": (AgentSpec(kind=args.agent),)})
+        config = replace(config, agents=(AgentSpec(kind=args.agent),))
     out = args.out or config.out
     if out is None:
         raise ConfigError("no output directory: pass --out or set 'out' in the config")
@@ -172,7 +183,8 @@ def _execute_runs(
     for agent in config.agents:
         for seed in config.seeds:
             run_dir = out_dir / "runs" / f"{agent.kind}-seed{seed}"
-            cached = reuse_cached and _run_is_cached(run_dir)
+            metadata = _checkpoint_metadata(config, agent, seed, fingerprint)
+            cached = reuse_cached and _run_is_cached(run_dir, metadata)
             runs.append(
                 {
                     "agent": agent.kind,
@@ -185,20 +197,17 @@ def _execute_runs(
                 }
             )
             if not cached:
-                jobs.append((agent, seed, run_dir))
+                jobs.append((agent, seed, run_dir, metadata))
     _write_manifest(out_dir, config, fingerprint, runs, dataset.ticker_count)
     workers = _seed_workers(len(jobs))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_train_one, config, dataset, agent, seed, run_dir, fingerprint)
-                for agent, seed, run_dir in jobs
-            ]
+            futures = [pool.submit(_train_one, config, dataset, *job) for job in jobs]
             for future in futures:
                 future.result()
     else:
-        for agent, seed, run_dir in jobs:
-            _train_one(config, dataset, agent, seed, run_dir, fingerprint)
+        for job in jobs:
+            _train_one(config, dataset, *job)
     return runs
 
 
@@ -318,11 +327,7 @@ def cmd_compare(args) -> int:
                 label = f"{row['agent']}/seed{row['seed']}"
                 labeled.setdefault(label, []).append((int(row["timestep"]), float(row["reward"])))
 
-    with open(out_dir / "curves.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CURVE_HEADER)
-        for agent, seed, timestep, episode, reward in all_rows:
-            writer.writerow([agent, seed, timestep, episode, repr(reward)])
+    _write_curve_csv(out_dir / "curves.csv", all_rows)
 
     table = compare_runs(labeled)
     write_aligned_curves_csv(labeled, out_dir / "curves_aligned.csv")

@@ -23,10 +23,7 @@ from shufflerl.errors import (
     ShuffleRlError,
 )
 from shufflerl.features import (
-    CANONICAL,
-    SHUFFLED,
     FeatureLayout,
-    FeatureVector,
     PermutationSpec,
     WindowMatrix,
     apply_permutation,
@@ -44,7 +41,8 @@ class EnvConfig:
     reward_scale: float = 1e-6
     balance_scale: float = 1e-6
     window_length: int = 90
-    layout: str = CANONICAL
+    # The only layout switch: None keeps the canonical layout, a permutation
+    # gathers every daily row through it (the shuffled agent's layout).
     permutation: PermutationSpec | None = None
     # Lookback for the logged turbulence index; None disables it. The index
     # is monitoring-only and never gates trades.
@@ -57,10 +55,6 @@ class EnvConfig:
             raise ShuffleRlError(f"cost_rate must be in [0, 1), got {self.cost_rate}")
         if self.window_length < 1:
             raise ShuffleRlError(f"window_length must be >= 1, got {self.window_length}")
-        if self.layout not in (CANONICAL, SHUFFLED):
-            raise ShuffleRlError(f"unknown layout {self.layout!r}")
-        if self.layout == SHUFFLED and self.permutation is None:
-            raise ShuffleRlError("shuffled layout requires a permutation")
 
 
 @dataclass(frozen=True)
@@ -192,15 +186,15 @@ class TradingEnv:
                 f"need start + window_length < n_days: "
                 f"{start} + {config.window_length} >= {dataset.n_days}"
             )
-        if config.layout == SHUFFLED and len(config.permutation) != FeatureLayout(dataset.ticker_count).total:
+        self.layout = FeatureLayout(dataset.ticker_count)
+        if config.permutation is not None and len(config.permutation) != self.layout.total:
             raise ShuffleRlError(
                 f"permutation length {len(config.permutation)} does not match "
-                f"feature total {FeatureLayout(dataset.ticker_count).total}"
+                f"feature total {self.layout.total}"
             )
         self.dataset = dataset
         self.config = config
         self.start = start
-        self.layout = FeatureLayout(dataset.ticker_count)
         self._turbulence = self._compute_turbulence()
         self.reset()
 
@@ -214,7 +208,7 @@ class TradingEnv:
             # Monitoring only: short datasets log NaN instead of failing.
             return np.full(self.dataset.n_days, np.nan)
 
-    def _day_vector(self, day: int) -> FeatureVector:
+    def _day_vector(self, day: int) -> np.ndarray:
         vector = build_feature_vector(
             balance=self.state.balance,
             prices=self.dataset.close[day],
@@ -223,7 +217,7 @@ class TradingEnv:
             scale=self.config.balance_scale,
             layout=self.layout,
         )
-        if self.config.layout == SHUFFLED:
+        if self.config.permutation is not None:
             vector = apply_permutation(vector, self.config.permutation)
         return vector
 

@@ -13,7 +13,8 @@ The shuffled layout regroups the same values ticker-major so that each
 ticker's price, holding, and 15 ratios occupy a contiguous run of 17
 entries: ``[balance, p_0, h_0, r_0..r_14 of ticker 0, p_1, h_1, ...]``.
 
-Permutations use gather semantics throughout: ``out[k] = in[perm[k]]``.
+Daily vectors are plain float64 arrays. Permutations use gather semantics
+throughout: ``out[k] = in[perm[k]]``.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ import numpy as np
 from shufflerl.errors import NonFiniteError, ShuffleRlError
 
 RATIOS_PER_TICKER = 15
-
-CANONICAL = "canonical"
-SHUFFLED = "shuffled"
 
 
 @dataclass(frozen=True)
@@ -84,51 +82,19 @@ class PermutationSpec:
         return cls(np.asarray(json.loads(text), dtype=np.int64))
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """One day's feature values plus the layout they are arranged in."""
-
-    values: np.ndarray
-    layout: str = CANONICAL
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 1:
-            raise ShuffleRlError(f"feature vector must be 1-D, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteError("feature vector")
-
-    def __len__(self) -> int:
-        return int(self.values.shape[0])
-
-
 @dataclass
 class WindowMatrix:
-    """Fixed-height stack of consecutive daily feature vectors.
+    """Fixed-height stack of consecutive daily feature rows.
 
-    Row 0 is the oldest day, the last row the newest. ``slide`` drops the
-    oldest row and appends a new one, returning a fresh matrix.
+    Row 0 is the oldest day, the last row the newest.
     """
 
     rows: np.ndarray
-    layout: str = CANONICAL
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=np.float64)
         if self.rows.ndim != 2:
             raise ShuffleRlError(f"window matrix must be 2-D, got shape {self.rows.shape}")
-
-    @property
-    def window_length(self) -> int:
-        return int(self.rows.shape[0])
-
-    @property
-    def width(self) -> int:
-        return int(self.rows.shape[1])
-
-    def to_csv(self, path) -> None:
-        np.savetxt(path, self.rows, delimiter=",", fmt="%.17g")
 
 
 def build_feature_vector(
@@ -138,7 +104,7 @@ def build_feature_vector(
     ratios: np.ndarray,
     scale: float,
     layout: FeatureLayout | None = None,
-) -> FeatureVector:
+) -> np.ndarray:
     """Assemble one canonical daily vector.
 
     ``ratios`` has shape ``(15, D)``; row j holds ratio j for every ticker,
@@ -166,7 +132,9 @@ def build_feature_vector(
     values[1 : d + 1] = prices
     values[d + 1 : 2 * d + 1] = holdings
     values[2 * d + 1 :] = ratios.reshape(-1)  # C order == ratio-major
-    return FeatureVector(values, CANONICAL)
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteError("feature vector")
+    return values
 
 
 def ticker_block_permutation(layout: FeatureLayout) -> PermutationSpec:
@@ -189,12 +157,11 @@ def ticker_block_permutation(layout: FeatureLayout) -> PermutationSpec:
     return PermutationSpec(perm)
 
 
-def apply_permutation(vector: FeatureVector, spec: PermutationSpec) -> FeatureVector:
-    """Gather ``vector`` through ``spec`` and flip the layout tag."""
-    if len(vector) != len(spec):
-        raise ShuffleRlError(f"length mismatch: vector {len(vector)}, permutation {len(spec)}")
-    out_layout = SHUFFLED if vector.layout == CANONICAL else CANONICAL
-    return FeatureVector(vector.values[spec.perm], out_layout)
+def apply_permutation(row: np.ndarray, spec: PermutationSpec) -> np.ndarray:
+    """Gather ``row`` through ``spec``."""
+    if len(row) != len(spec):
+        raise ShuffleRlError(f"length mismatch: vector {len(row)}, permutation {len(spec)}")
+    return row[spec.perm]
 
 
 def invert_permutation(spec: PermutationSpec) -> PermutationSpec:
@@ -203,29 +170,24 @@ def invert_permutation(spec: PermutationSpec) -> PermutationSpec:
     return PermutationSpec(inverse)
 
 
-def init_window(vectors: list[FeatureVector], expected_length: int | None = None) -> WindowMatrix:
-    """Stack ``window_length`` vectors, oldest first."""
-    if not vectors:
+def init_window(rows: list[np.ndarray], expected_length: int | None = None) -> WindowMatrix:
+    """Stack ``window_length`` daily rows, oldest first."""
+    if not rows:
         raise ShuffleRlError("cannot build a window from zero vectors")
-    if expected_length is not None and len(vectors) != expected_length:
-        raise ShuffleRlError(f"expected {expected_length} vectors, got {len(vectors)}")
-    layout = vectors[0].layout
-    width = len(vectors[0])
-    for v in vectors[1:]:
-        if v.layout != layout:
-            raise ShuffleRlError(f"mixed layouts in window: {layout} vs {v.layout}")
-        if len(v) != width:
-            raise ShuffleRlError(f"mixed widths in window: {width} vs {len(v)}")
-    return WindowMatrix(np.stack([v.values for v in vectors]), layout)
+    if expected_length is not None and len(rows) != expected_length:
+        raise ShuffleRlError(f"expected {expected_length} vectors, got {len(rows)}")
+    widths = {len(row) for row in rows}
+    if len(widths) != 1:
+        raise ShuffleRlError(f"mixed widths in window: {sorted(widths)}")
+    return WindowMatrix(np.stack(rows))
 
 
-def slide_window(window: WindowMatrix, newest: FeatureVector) -> WindowMatrix:
+def slide_window(window: WindowMatrix, newest: np.ndarray) -> WindowMatrix:
     """Drop the oldest row, append ``newest``; shape is preserved."""
-    if newest.layout != window.layout:
-        raise ShuffleRlError(f"layout mismatch: window {window.layout}, vector {newest.layout}")
-    if len(newest) != window.width:
-        raise ShuffleRlError(f"width mismatch: window {window.width}, vector {len(newest)}")
+    width = window.rows.shape[1]
+    if len(newest) != width:
+        raise ShuffleRlError(f"width mismatch: window {width}, vector {len(newest)}")
     rows = np.empty_like(window.rows)
     rows[:-1] = window.rows[1:]
-    rows[-1] = newest.values
-    return WindowMatrix(rows, window.layout)
+    rows[-1] = newest
+    return WindowMatrix(rows)

@@ -20,16 +20,9 @@ import numpy as np
 
 from shufflerl.data import MarketDataset
 from shufflerl.env import EnvConfig, EpisodeResult, TradingEnv, run_episode
-from shufflerl.errors import NonFiniteError, ShuffleRlError, UndefinedMetricError
-from shufflerl.features import (
-    CANONICAL,
-    SHUFFLED,
-    FeatureLayout,
-    FeatureVector,
-    WindowMatrix,
-    ticker_block_permutation,
-)
-from shufflerl.metrics import cumulative_return, daily_returns, sharpe_ratio
+from shufflerl.errors import NonFiniteError, ShuffleRlError
+from shufflerl.features import FeatureLayout, WindowMatrix, ticker_block_permutation
+from shufflerl.metrics import metrics_report
 from shufflerl.nn import ActorCritic, ArchSpec
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -83,10 +76,6 @@ class AgentSpec:
     def extractor_kind(self) -> str:
         return "mlp" if self.kind == "mlp" else "cnn"
 
-    @property
-    def layout(self) -> str:
-        return SHUFFLED if self.kind == "cnn-shuffled" else CANONICAL
-
     def resolve_arch(self) -> ArchSpec:
         return self.arch if self.arch is not None else ArchSpec(kind=self.extractor_kind)
 
@@ -94,8 +83,6 @@ class AgentSpec:
 def _obs_array(obs) -> np.ndarray:
     if isinstance(obs, WindowMatrix):
         return obs.rows
-    if isinstance(obs, FeatureVector):
-        return obs.values
     return np.asarray(obs, dtype=np.float64)
 
 
@@ -395,13 +382,6 @@ class TrainResult:
     update_stats: list[dict] = field(default_factory=list)
     timesteps: int = 0
 
-    def write_curve_csv(self, path) -> None:
-        """Episode reward curve as ``timestep,episode,reward``."""
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            handle.write("timestep,episode,reward\n")
-            for timestep, episode, reward in self.curve:
-                handle.write(f"{timestep},{episode},{float(reward)!r}\n")
-
 
 def train_on_env(
     env,
@@ -457,11 +437,11 @@ def train_on_env(
 
 
 def make_env_config(base: EnvConfig, agent: AgentSpec, ticker_count: int) -> EnvConfig:
-    """Fit the layout mode (and permutation) of an env config to an agent."""
-    if agent.layout == SHUFFLED:
-        perm = ticker_block_permutation(FeatureLayout(ticker_count))
-        return replace(base, layout=SHUFFLED, permutation=perm)
-    return replace(base, layout=CANONICAL, permutation=None)
+    """Fit an env config's layout to an agent: the shuffled CNN gets the
+    ticker-block permutation, every other agent the canonical layout."""
+    shuffled = agent.kind == "cnn-shuffled"
+    perm = ticker_block_permutation(FeatureLayout(ticker_count)) if shuffled else None
+    return replace(base, permutation=perm)
 
 
 def train(
@@ -524,20 +504,14 @@ def evaluate(
     finally:
         net.set_training(was_training)
     values = episode.values
-    try:
-        returns = daily_returns(values)
-        sharpe_ann = sharpe_ratio(returns)
-        sharpe_raw = sharpe_ratio(returns, annualization=1.0)
-    except UndefinedMetricError:
-        sharpe_ann = None
-        sharpe_raw = None
+    metrics = metrics_report(values)
     return (
         EvalReport(
             cumulative_reward=episode.total_reward,
             discounted_return=episode.discounted_return,
-            cumulative_return=cumulative_return(values),
-            sharpe_annualized=sharpe_ann,
-            sharpe_raw=sharpe_raw,
+            cumulative_return=metrics.cumulative_return,
+            sharpe_annualized=metrics.sharpe_annualized,
+            sharpe_raw=metrics.sharpe_raw,
             total_costs=env.state.trade_cost_accum,
             final_value=values[-1],
             n_steps=len(episode.rewards),

@@ -115,15 +115,7 @@ class RunConfig:
 
     def resolved_dict(self) -> dict:
         """Full configuration with every default made explicit."""
-        env = {
-            "initial_balance": self.env.initial_balance,
-            "hmax": self.env.hmax,
-            "cost_rate": self.env.cost_rate,
-            "reward_scale": self.env.reward_scale,
-            "balance_scale": self.env.balance_scale,
-            "window_length": self.env.window_length,
-            "turbulence_lookback": self.env.turbulence_lookback,
-        }
+        env = {key: getattr(self.env, key) for key in _ENV_KEYS}
         ppo = {key: getattr(self.ppo, key) for key in _PPO_KEYS}
         return {
             "dataset": self.dataset.to_dict(),

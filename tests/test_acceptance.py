@@ -22,7 +22,6 @@ from shufflerl.data import generate_synthetic_market
 from shufflerl.env import EnvConfig, TradingEnv, run_episode
 from shufflerl.features import (
     FeatureLayout,
-    FeatureVector,
     apply_permutation,
     build_feature_vector,
     invert_permutation,
@@ -64,7 +63,7 @@ def test_criterion_1_feature_accounting():
     prices = 100.0 + np.arange(30)
     holdings = np.arange(30)
     ratios = np.arange(15 * 30, dtype=np.float64).reshape(15, 30)
-    vec = build_feature_vector(1_000_000.0, prices, holdings, ratios, scale=1e-6).values
+    vec = build_feature_vector(1_000_000.0, prices, holdings, ratios, scale=1e-6)
     ok &= vec.shape == (511,)
     ok &= vec[0] == 1.0  # balance block, size 1
     ok &= np.array_equal(vec[1:31], prices)  # price block, size 30
@@ -84,11 +83,11 @@ def test_criterion_2_permutation_suite():
         layout = FeatureLayout(d)
         spec = ticker_block_permutation(layout)
         inverse = invert_permutation(spec)
-        vec = FeatureVector(rng.standard_normal(layout.total))
+        vec = rng.standard_normal(layout.total)
         shuffled = apply_permutation(vec, spec)
         back = apply_permutation(shuffled, inverse)
-        ok &= np.array_equal(back.values, vec.values)  # round trip, exact
-        ok &= np.array_equal(np.sort(shuffled.values), np.sort(vec.values))  # multiset
+        ok &= np.array_equal(back, vec)  # round trip, exact
+        ok &= np.array_equal(np.sort(shuffled), np.sort(vec))  # multiset
         positions = inverse.perm
         for i in range(d):
             block = sorted(

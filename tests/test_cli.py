@@ -404,6 +404,36 @@ class TestCliCompare:
         assert all(run["reused"] for run in manifest["runs"])
         assert (tmp_path / "cmp" / "curves.csv").read_bytes() == first_curves
 
+    def _two_agents(self, tmp_path, archive, total_timesteps):
+        cfg = base_config(archive, out=tmp_path / "cmp", agents=[MLP_AGENT, CNN_AGENT])
+        cfg["ppo"]["total_timesteps"] = total_timesteps
+        path = tmp_path / "cmp.json"
+        write_json(path, cfg)
+        return path
+
+    def test_changed_ppo_config_retrains(self, tmp_path, archive, capsys):
+        assert main(["compare", "--config", str(self._two_agents(tmp_path, archive, 64))]) == 0
+        assert main(["compare", "--config", str(self._two_agents(tmp_path, archive, 128))]) == 0
+        assert "reused" not in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "cmp" / "manifest.json").read_text())
+        assert not any(run["reused"] for run in manifest["runs"])
+        with open(tmp_path / "cmp" / "curves.csv", newline="") as handle:
+            timesteps = [int(row["timestep"]) for row in csv.DictReader(handle)]
+        assert max(timesteps) > 64  # the 128-step curves, not the cached 64-step ones
+
+    def test_truncated_blob_retrains(self, tmp_path, archive, capsys):
+        path = self._two_agents(tmp_path, archive, 32)
+        assert main(["compare", "--config", str(path)]) == 0
+        blob = tmp_path / "cmp" / "runs" / "cnn-seed0" / "checkpoint" / "params.bin"
+        full = blob.read_bytes()
+        blob.write_bytes(full[:-8])
+        capsys.readouterr()
+        assert main(["compare", "--config", str(path)]) == 0
+        assert "reused 1 cached run(s)" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "cmp" / "manifest.json").read_text())
+        assert {run["agent"]: run["reused"] for run in manifest["runs"]} == {"mlp": True, "cnn": False}
+        assert blob.read_bytes() == full
+
     def test_one_seed_agents_share_the_pool(self, tmp_path, archive, monkeypatch):
         pool_sizes = []
 

@@ -19,7 +19,6 @@ from shufflerl.env import (
 )
 from shufflerl.errors import InsufficientHistoryError, ShuffleRlError
 from shufflerl.features import (
-    SHUFFLED,
     FeatureLayout,
     apply_permutation,
     build_feature_vector,
@@ -45,8 +44,6 @@ class TestEnvConfig:
             EnvConfig(cost_rate=1.0)
         with pytest.raises(ShuffleRlError):
             EnvConfig(hmax=0)
-        with pytest.raises(ShuffleRlError):
-            EnvConfig(layout=SHUFFLED)  # no permutation
 
 
 class TestPortfolioValue:
@@ -180,6 +177,11 @@ class TestReset:
         with pytest.raises(InsufficientHistoryError):
             TradingEnv(dataset, small_config(window_length=90))
 
+    def test_wrong_permutation_length_rejected(self, toy_market):
+        perm = ticker_block_permutation(FeatureLayout(3))  # 52 entries; two tickers give 35
+        with pytest.raises(ShuffleRlError, match="permutation length 52 does not match feature total 35"):
+            TradingEnv(toy_market, small_config(permutation=perm))
+
     def test_initial_value_is_balance(self, toy_market):
         env = TradingEnv(toy_market, small_config())
         assert portfolio_value(env.state, toy_market.close[env.state.day_index]) == 100.0
@@ -259,21 +261,33 @@ class TestStep:
                 np.testing.assert_array_equal(env.observation.rows[r, 1:3], toy_market.close[day])
 
     def test_shuffled_observation(self, toy_market):
-        layout = FeatureLayout(2)
-        perm = ticker_block_permutation(layout)
-        env = TradingEnv(toy_market, small_config(layout=SHUFFLED, permutation=perm))
+        perm = ticker_block_permutation(FeatureLayout(2))
+        # Distinct ratio values, so that gathering any entry from the wrong
+        # canonical index shows.
+        ratios = 0.5 + np.arange(toy_market.ratios.size, dtype=np.float64)
+        market = make_dataset(toy_market.close, ratios=ratios.reshape(toy_market.ratios.shape))
+        shuffled = TradingEnv(market, small_config(permutation=perm))
+        canonical = TradingEnv(market, small_config())
         canonical_last = build_feature_vector(
-            balance=env.state.balance,
-            prices=toy_market.close[1],
-            holdings=env.state.holdings,
-            ratios=toy_market.ratios[1],
+            balance=shuffled.state.balance,
+            prices=market.close[1],
+            holdings=shuffled.state.holdings,
+            ratios=market.ratios[1],
             scale=1.0,
         )
-        np.testing.assert_array_equal(
-            env.observation.rows[-1], apply_permutation(canonical_last, perm).values
-        )
-        result = env.step(np.array([0.7, -0.2]))
-        assert result.observation.layout == SHUFFLED
+        np.testing.assert_array_equal(shuffled.observation.rows[-1], apply_permutation(canonical_last, perm))
+
+        rng = np.random.default_rng(11)
+        traded = False
+        while True:
+            # Every row, including the portfolio columns of earlier days.
+            np.testing.assert_array_equal(shuffled.observation.rows, canonical.observation.rows[:, perm.perm])
+            if canonical.done:
+                break
+            action = rng.uniform(-1, 1, size=2)
+            assert shuffled.step(action).done == canonical.step(action).done
+            traded |= bool(np.any(canonical.state.holdings))
+        assert shuffled.done and traded
 
     def test_turbulence_logged_when_available(self):
         close = 10.0 + np.cumsum(

@@ -7,10 +7,7 @@ from hypothesis import strategies as st
 
 from shufflerl.errors import NonFiniteError, ShuffleRlError
 from shufflerl.features import (
-    CANONICAL,
-    SHUFFLED,
     FeatureLayout,
-    FeatureVector,
     PermutationSpec,
     apply_permutation,
     build_feature_vector,
@@ -73,9 +70,9 @@ class TestBuildFeatureVector:
             ratios=np.zeros((15, d)),
             scale=1e-6,
         )
-        assert len(vec) == 511
-        assert vec.values[0] == 1.0
-        assert vec.layout == CANONICAL
+        assert vec.shape == (511,)
+        assert vec.dtype == np.float64
+        assert vec[0] == 1.0
 
     def test_block_layout_two_tickers(self):
         vec = build_feature_vector(
@@ -88,13 +85,13 @@ class TestBuildFeatureVector:
         assert len(vec) == 35
         expected = np.zeros(35)
         expected[1], expected[2] = 10.0, 20.0
-        np.testing.assert_array_equal(vec.values, expected)
+        np.testing.assert_array_equal(vec, expected)
 
     def test_ratio_placement(self):
         ratios = np.zeros((15, 2))
         ratios[3, 1] = 7.5
         vec = build_feature_vector(0.0, np.array([1.0, 1.0]), np.array([0, 0]), ratios, 1.0)
-        assert vec.values[12] == 7.5
+        assert vec[12] == 7.5
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShuffleRlError):
@@ -147,15 +144,14 @@ class TestTickerBlockPermutation:
 
 class TestApplyAndInvert:
     def test_identity(self):
-        vec = FeatureVector(np.array([3.0, 1.0, 4.0]))
+        vec = np.array([3.0, 1.0, 4.0])
         out = apply_permutation(vec, PermutationSpec(np.arange(3)))
-        np.testing.assert_array_equal(out.values, vec.values)
-        assert out.layout == SHUFFLED
+        np.testing.assert_array_equal(out, vec)
 
     def test_gather_semantics(self):
-        vec = FeatureVector(np.array([1.0, 2.0, 3.0, 4.0]))  # (a, b, c, d)
+        vec = np.array([1.0, 2.0, 3.0, 4.0])  # (a, b, c, d)
         out = apply_permutation(vec, PermutationSpec(np.array([2, 0, 3, 1])))
-        np.testing.assert_array_equal(out.values, [3.0, 1.0, 4.0, 2.0])  # (c, a, d, b)
+        np.testing.assert_array_equal(out, [3.0, 1.0, 4.0, 2.0])  # (c, a, d, b)
 
     def test_invert_hand_values(self):
         assert invert_permutation(PermutationSpec(np.array([2, 0, 1]))).perm.tolist() == [1, 2, 0]
@@ -163,7 +159,7 @@ class TestApplyAndInvert:
 
     def test_length_mismatch(self):
         with pytest.raises(ShuffleRlError):
-            apply_permutation(FeatureVector(np.zeros(3)), PermutationSpec(np.arange(4)))
+            apply_permutation(np.zeros(3), PermutationSpec(np.arange(4)))
 
     def test_not_a_bijection(self):
         with pytest.raises(ShuffleRlError):
@@ -174,9 +170,9 @@ class TestApplyAndInvert:
         for _ in range(200):
             n = int(rng.integers(1, 60))
             spec = PermutationSpec(rng.permutation(n))
-            vec = FeatureVector(rng.standard_normal(n))
+            vec = rng.standard_normal(n)
             back = apply_permutation(apply_permutation(vec, spec), invert_permutation(spec))
-            np.testing.assert_array_equal(back.values, vec.values)
+            np.testing.assert_array_equal(back, vec)
             composed = spec.perm[invert_permutation(spec).perm]
             np.testing.assert_array_equal(composed, np.arange(n))
 
@@ -185,9 +181,9 @@ class TestApplyAndInvert:
     def test_value_multiset_conserved(self, d, seed):
         rng = np.random.default_rng(seed)
         layout = FeatureLayout(d)
-        vec = FeatureVector(rng.standard_normal(layout.total))
+        vec = rng.standard_normal(layout.total)
         out = apply_permutation(vec, ticker_block_permutation(layout))
-        np.testing.assert_array_equal(np.sort(out.values), np.sort(vec.values))
+        np.testing.assert_array_equal(np.sort(out), np.sort(vec))
 
     def test_json_round_trip(self):
         spec = ticker_block_permutation(FeatureLayout(3))
@@ -198,7 +194,7 @@ class TestApplyAndInvert:
 
 class TestWindow:
     def _vectors(self, count, width=4, start=0.0):
-        return [FeatureVector(np.full(width, start + k)) for k in range(count)]
+        return [np.full(width, start + k) for k in range(count)]
 
     def test_init_orders_rows(self):
         window = init_window(self._vectors(3), expected_length=3)
@@ -210,15 +206,15 @@ class TestWindow:
         with pytest.raises(ShuffleRlError):
             init_window(self._vectors(89), expected_length=90)
 
-    def test_mixed_layout_rejected(self):
+    def test_mixed_widths_rejected(self):
         vectors = self._vectors(2)
-        vectors[1] = FeatureVector(vectors[1].values, SHUFFLED)
+        vectors[1] = np.zeros(5)
         with pytest.raises(ShuffleRlError):
             init_window(vectors)
 
     def test_slide_semantics(self):
         window = init_window(self._vectors(3))
-        slid = slide_window(window, FeatureVector(np.full(4, 9.0)))
+        slid = slide_window(window, np.full(4, 9.0))
         assert slid.rows.shape == window.rows.shape
         np.testing.assert_array_equal(slid.rows[0], np.full(4, 1.0))
         np.testing.assert_array_equal(slid.rows[2], np.full(4, 9.0))
@@ -231,33 +227,24 @@ class TestWindow:
         news = self._vectors(length, start=100.0)
         for vec in news:
             window = slide_window(window, vec)
-        np.testing.assert_array_equal(window.rows, np.stack([v.values for v in news]))
+        np.testing.assert_array_equal(window.rows, np.stack(news))
 
-    def test_slide_layout_mismatch(self):
+    def test_slide_width_mismatch(self):
         window = init_window(self._vectors(3))
         with pytest.raises(ShuffleRlError):
-            slide_window(window, FeatureVector(np.zeros(4), SHUFFLED))
-        with pytest.raises(ShuffleRlError):
-            slide_window(window, FeatureVector(np.zeros(5)))
+            slide_window(window, np.zeros(5))
 
     def test_shuffle_commutes_with_slide(self):
         rng = np.random.default_rng(7)
         layout = FeatureLayout(2)
         spec = ticker_block_permutation(layout)
-        vectors = [FeatureVector(rng.standard_normal(layout.total)) for _ in range(4)]
-        newest = FeatureVector(rng.standard_normal(layout.total))
+        vectors = [rng.standard_normal(layout.total) for _ in range(4)]
+        newest = rng.standard_normal(layout.total)
 
         shuffled_then_slid = slide_window(
             init_window([apply_permutation(v, spec) for v in vectors]),
             apply_permutation(newest, spec),
         )
         slid = slide_window(init_window(vectors), newest)
-        slid_then_shuffled = np.stack([slid.rows[r][spec.perm] for r in range(slid.window_length)])
+        slid_then_shuffled = np.stack([row[spec.perm] for row in slid.rows])
         np.testing.assert_array_equal(shuffled_then_slid.rows, slid_then_shuffled)
-
-    def test_csv_dump(self, tmp_path):
-        window = init_window(self._vectors(2))
-        path = tmp_path / "window.csv"
-        window.to_csv(path)
-        loaded = np.loadtxt(path, delimiter=",")
-        np.testing.assert_array_equal(loaded, window.rows)

@@ -9,7 +9,6 @@ from conftest import make_dataset
 from shufflerl.data import generate_synthetic_market
 from shufflerl.env import EnvConfig
 from shufflerl.errors import ShuffleRlError
-from shufflerl.features import SHUFFLED
 from shufflerl.nn import ActorCritic, ArchSpec, grad_check
 from shufflerl.ppo import (
     _ADAM_CHUNK,
@@ -111,9 +110,11 @@ class TestConfig:
             PpoConfig(clip_epsilon=0.0)
 
     def test_agent_spec_layouts(self):
-        assert AgentSpec(kind="mlp").layout == "canonical"
-        assert AgentSpec(kind="cnn").layout == "canonical"
-        assert AgentSpec(kind="cnn-shuffled").layout == SHUFFLED
+        # The permutation is the only layout switch; None is the canonical layout.
+        base = EnvConfig(window_length=5, turbulence_lookback=None)
+        assert make_env_config(base, AgentSpec(kind="mlp"), ticker_count=3).permutation is None
+        assert make_env_config(base, AgentSpec(kind="cnn"), ticker_count=3).permutation is None
+        assert make_env_config(base, AgentSpec(kind="cnn-shuffled"), ticker_count=3).permutation is not None
         with pytest.raises(ShuffleRlError):
             AgentSpec(kind="dqn")
         with pytest.raises(ShuffleRlError):
@@ -122,7 +123,6 @@ class TestConfig:
     def test_make_env_config_builds_permutation(self):
         base = EnvConfig(window_length=5, turbulence_lookback=None)
         shuffled = make_env_config(base, AgentSpec(kind="cnn-shuffled"), ticker_count=3)
-        assert shuffled.layout == SHUFFLED
         assert len(shuffled.permutation) == 1 + 17 * 3
         canonical = make_env_config(base, AgentSpec(kind="cnn"), ticker_count=3)
         assert canonical.permutation is None
@@ -419,18 +419,6 @@ class TestTrainLoop:
                         minibatch_size=64, epochs_per_update=4, total_timesteps=128 * 60, seed=0)
         result = train_on_env(SignBandit(100), (1,), 1, ArchSpec(kind="mlp", mlp_hidden=(16,)), cfg)
         assert optimal_action_probability(result.net) > 0.9
-
-    def test_curve_csv_format(self, tmp_path):
-        cfg = PpoConfig(total_timesteps=64, rollout_length=32, minibatch_size=16,
-                        epochs_per_update=1, seed=2)
-        result = train(self._dataset(), self._env_cfg(), AgentSpec(kind="mlp", arch=MLP_ARCH), cfg)
-        path = tmp_path / "curve.csv"
-        result.write_curve_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "timestep,episode,reward"
-        first = lines[1].split(",")
-        assert first[0] == str(result.curve[0][0])
-        assert float(first[2]) == result.curve[0][2]
 
 
 class TestEvaluate:
