@@ -46,10 +46,10 @@ def conv_output_size(size: int, kernel: int, stride: int) -> int:
 class Conv2d:
     """Valid cross-correlation over (batch, channels, height, width).
 
-    Unrolled into one GEMM (Chellapilla, Puri and Simard, 2006): each output
-    position's receptive field becomes a column of ``cols``, laid out batch
-    first as (B, C*kh*kw, oh*ow) so that neither ``out`` nor ``dout`` needs a
-    transposing copy.
+    Unrolled into GEMMs (Chellapilla, Puri and Simard, 2006), one sample at a
+    time: each output position's receptive field becomes a column of a
+    (C*kh*kw, oh*ow) matrix that is small enough to stay in cache. The forward
+    caches only its input, and the backward rebuilds the same columns.
     """
 
     def __init__(self, name: str, weight: np.ndarray, bias: np.ndarray, stride: tuple[int, int]):
@@ -64,43 +64,61 @@ class Conv2d:
     def buffers(self):
         return []
 
+    def _columns(self, x: np.ndarray):
+        """Yield each sample's (C*kh*kw, oh*ow) im2col matrix in turn, copied
+        into one buffer that every sample reuses."""
+        _, _, kh, kw = self.weight.shape
+        sh, sw = self.stride
+        windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]  # (b, c, oh, ow, kh, kw)
+        windows = windows.transpose(0, 1, 4, 5, 2, 3)
+        cols = np.empty(windows.shape[1:])
+        cols_mat = cols.reshape(-1, cols.shape[-2] * cols.shape[-1])
+        for sample in windows:
+            np.copyto(cols, sample)
+            yield cols_mat
+
     def forward(self, x: np.ndarray):
         out_ch, in_ch, kh, kw = self.weight.shape
         if x.ndim != 4 or x.shape[1] != in_ch:
             raise ShuffleRlError(f"{self.name}: expected (B, {in_ch}, H, W), got {x.shape}")
-        b, c, h, w = x.shape
+        b, _, h, w = x.shape
         sh, sw = self.stride
         oh = conv_output_size(h, kh, sh)
         ow = conv_output_size(w, kw, sw)
-        windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]  # (b, c, oh, ow, kh, kw)
-        cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, oh * ow)
-        out = self.weight.reshape(out_ch, -1) @ cols
+        w_mat = self.weight.reshape(out_ch, -1)
+        out = np.empty((b, out_ch, oh * ow))
+        for i, cols in enumerate(self._columns(x)):
+            np.matmul(w_mat, cols, out=out[i])
         out += self.bias[:, None]
         out = out.reshape(b, out_ch, oh, ow)
         _check_finite(self.name, out)
-        return out, (x.shape, cols)
+        return out, x
 
     def backward(self, cache, dout: np.ndarray, need_dx: bool = True):
-        x_shape, cols = cache
-        b = x_shape[0]
+        x = cache
+        b = x.shape[0]
         out_ch, in_ch, kh, kw = self.weight.shape
         sh, sw = self.stride
         oh, ow = dout.shape[2:]
         dout_mat = dout.reshape(b, out_ch, oh * ow)
-        dweight = (dout_mat @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.weight.shape)
+        dweight = np.zeros((out_ch, in_ch * kh * kw))
+        # col2im one kernel row at a time keeps the input-gradient columns at
+        # 1/kh of the im2col size.
+        w_rows = [self.weight[:, :, u, :].reshape(out_ch, in_ch * kw).T for u in range(kh)]
+        dx = np.zeros(x.shape) if need_dx else None
+        for i, cols in enumerate(self._columns(x)):
+            dweight += dout_mat[i] @ cols.T
+            if need_dx:
+                for u in range(kh):
+                    dcols = (w_rows[u] @ dout_mat[i]).reshape(in_ch, kw, oh, ow)
+                    for v in range(kw):
+                        dx[i, :, u : u + sh * oh : sh, v : v + sw * ow : sw] += dcols[:, v]
+        dweight = dweight.reshape(self.weight.shape)
         dbias = dout_mat.sum(axis=(0, 2))
         grads = {f"{self.name}.weight": dweight, f"{self.name}.bias": dbias}
         _check_finite(f"{self.name}.backward", dweight, dbias)
         if not need_dx:
             return None, grads
-        # col2im one kernel row at a time keeps the input-gradient columns at
-        # 1/kh of the im2col size.
-        dx = np.zeros(x_shape)
-        for u in range(kh):
-            w_row = self.weight[:, :, u, :].reshape(out_ch, in_ch * kw)
-            dcols = (w_row.T @ dout_mat).reshape(b, in_ch, kw, oh, ow)
-            for v in range(kw):
-                dx[:, :, u : u + sh * oh : sh, v : v + sw * ow : sw] += dcols[:, :, v]
         _check_finite(f"{self.name}.backward", dx)
         return dx, grads
 

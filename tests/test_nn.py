@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from shufflerl.checkpoint import load_checkpoint, save_checkpoint
 from shufflerl.errors import NonFiniteError, ShuffleRlError
@@ -155,6 +156,61 @@ class TestConvBackward:
         x = rng.standard_normal(x_shape)
         result = fd_check_layer(layer, x, seed=8, max_entries=40)
         assert result.max_rel_error < 1e-5, str(result)
+
+
+def reference_conv(layer, x, dout):
+    """Reference: whole-batch im2col with broadcast GEMMs, as (out, dx,
+    dweight, dbias). Same GEMM shapes and summation order as ``Conv2d``."""
+    out_ch, in_ch, kh, kw = layer.weight.shape
+    b = x.shape[0]
+    sh, sw = layer.stride
+    oh, ow = dout.shape[2:]
+    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(b, in_ch * kh * kw, oh * ow)
+    out = layer.weight.reshape(out_ch, -1) @ cols
+    out += layer.bias[:, None]
+    dout_mat = dout.reshape(b, out_ch, oh * ow)
+    dweight = (dout_mat @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(layer.weight.shape)
+    dbias = dout_mat.sum(axis=(0, 2))
+    dx = np.zeros(x.shape)
+    for u in range(kh):
+        w_row = layer.weight[:, :, u, :].reshape(out_ch, in_ch * kw)
+        dcols = (w_row.T @ dout_mat).reshape(b, in_ch, kw, oh, ow)
+        for v in range(kw):
+            dx[:, :, u : u + sh * oh : sh, v : v + sw * ow : sw] += dcols[:, :, v]
+    return out.reshape(b, out_ch, oh, ow), dx, dweight, dbias
+
+
+@pytest.mark.parametrize(
+    "w_shape, stride, x_shape",
+    [
+        ((16, 1, 8, 8), (4, 4), (3, 1, 90, 511)),
+        ((32, 16, 4, 4), (2, 2), (3, 16, 21, 126)),
+        ((3, 2, 3, 2), (2, 3), (3, 2, 8, 10)),
+        ((32, 16, 4, 4), (2, 2), (1, 16, 21, 126)),
+    ],
+    ids=["paper-conv1", "paper-conv2", "stride-remainders", "batch1"],
+)
+def test_conv_matches_whole_batch_reference_bitwise(w_shape, stride, x_shape):
+    rng = np.random.default_rng(25)
+    layer = Conv2d("c", rng.standard_normal(w_shape), rng.standard_normal(w_shape[0]), stride)
+    x = rng.standard_normal(x_shape)
+    out, cache = layer.forward(x)
+    dout = rng.standard_normal(out.shape)
+    dx, grads = layer.backward(cache, dout)
+    out_ref, dx_ref, dweight_ref, dbias_ref = reference_conv(layer, x, dout)
+    assert out.tobytes() == out_ref.tobytes()
+    assert dx.tobytes() == dx_ref.tobytes()
+    assert grads["c.weight"].tobytes() == dweight_ref.tobytes()
+    assert grads["c.bias"].tobytes() == dbias_ref.tobytes()
+
+
+def test_conv_forward_caches_only_its_input():
+    rng = np.random.default_rng(26)
+    layer = Conv2d("c", rng.standard_normal((16, 1, 8, 8)), np.zeros(16), (4, 4))
+    x = rng.standard_normal((2, 1, 90, 511))
+    _, cache = layer.forward(x)
+    assert cache is x
 
 
 class TestBatchNorm:
