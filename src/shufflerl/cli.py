@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import os
+import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -106,11 +107,26 @@ def _train_one(
     run_dir: Path,
     metadata: dict,
 ) -> TrainResult:
-    run_dir.mkdir(parents=True, exist_ok=True)
+    """Train, write the artifacts into a staging sibling of ``run_dir`` and
+    move it onto ``run_dir`` only when all of them are written, so a run
+    killed part-way never leaves files there that a later ``compare`` could
+    reuse. A staging or retired sibling left by a killed run is removed."""
     result = train(dataset, config.env, agent, replace(config.ppo, seed=seed))
-    _write_curve_csv(run_dir / "curve.csv", [(agent.kind, seed, *point) for point in result.curve])
-    _write_stats_jsonl(run_dir / "stats.jsonl", result.update_stats)
-    save_checkpoint(run_dir / "checkpoint", result.net, metadata)
+    staging = run_dir.with_name(f".{run_dir.name}.staging")
+    retired = run_dir.with_name(f".{run_dir.name}.retired")
+    for stale in (staging, retired):
+        shutil.rmtree(stale, ignore_errors=True)
+    staging.mkdir(parents=True)
+    try:
+        _write_curve_csv(staging / "curve.csv", [(agent.kind, seed, *point) for point in result.curve])
+        _write_stats_jsonl(staging / "stats.jsonl", result.update_stats)
+        save_checkpoint(staging / "checkpoint", result.net, metadata)
+        if run_dir.exists():
+            os.replace(run_dir, retired)  # a directory can only be renamed onto an empty one
+        os.replace(staging, run_dir)
+    finally:
+        for stale in (staging, retired):
+            shutil.rmtree(stale, ignore_errors=True)
     return result
 
 

@@ -1,12 +1,15 @@
 import csv
 import json
+import shutil
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from shufflerl import cli
 from shufflerl.archive import load_archive, save_archive
+from shufflerl.checkpoint import save_checkpoint
 from shufflerl.cli import main
 from shufflerl.data import generate_synthetic_market
 from shufflerl.errors import ConfigError, DataError
@@ -433,6 +436,35 @@ class TestCliCompare:
         manifest = json.loads((tmp_path / "cmp" / "manifest.json").read_text())
         assert {run["agent"]: run["reused"] for run in manifest["runs"]} == {"mlp": True, "cnn": False}
         assert blob.read_bytes() == full
+
+    def test_run_killed_after_manifest_retrains(self, tmp_path, archive, monkeypatch, capsys):
+        # A 32-step run's blob has the same size as a 64-step run's, so a
+        # new manifest written over the old blob would look complete.
+        assert main(["compare", "--config", str(self._two_agents(tmp_path, archive, 32))]) == 0
+        runs_dir = tmp_path / "cmp" / "runs"
+        old_manifests = {p: p.read_bytes() for p in runs_dir.glob("*/checkpoint/manifest.json")}
+
+        class Killed(Exception):
+            pass
+
+        def manifest_then_killed(directory, net, metadata=None):
+            save_checkpoint(tmp_path / "complete", net, metadata)
+            Path(directory).mkdir(parents=True, exist_ok=True)
+            shutil.copy(tmp_path / "complete" / "manifest.json", Path(directory) / "manifest.json")
+            raise Killed
+
+        monkeypatch.setattr(cli, "save_checkpoint", manifest_then_killed)
+        path = self._two_agents(tmp_path, archive, 64)
+        with pytest.raises(Killed):
+            main(["compare", "--config", str(path)])
+        assert {p: p.read_bytes() for p in runs_dir.glob("*/checkpoint/manifest.json")} == old_manifests
+        assert sorted(p.name for p in runs_dir.iterdir()) == ["cnn-seed0", "mlp-seed0"]
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert main(["compare", "--config", str(path)]) == 0
+        assert "reused" not in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "cmp" / "manifest.json").read_text())
+        assert not any(run["reused"] for run in manifest["runs"])
 
     def test_one_seed_agents_share_the_pool(self, tmp_path, archive, monkeypatch):
         pool_sizes = []
