@@ -345,10 +345,16 @@ def update(
     """One PPO update: several epochs of shuffled minibatches over the buffer.
 
     Returns the mean over minibatches of each loss diagnostic and of the
-    pre-clip gradient norm (``grad_norm``).
+    pre-clip gradient norm (``grad_norm``), and the value head's
+    ``explained_variance`` on the buffer before the update:
+    1 - Var(returns - values) / Var(returns), or 0.0 when the returns are
+    constant.
     """
     if not buffer.full:
         raise ShuffleRlError("update requires a full rollout buffer")
+    returns_var = np.var(buffer.returns)
+    residual_var = np.var(buffer.returns - buffer.values)
+    explained_variance = 0.0 if returns_var == 0 else 1.0 - residual_var / returns_var
     diagnostics: list[LossDiagnostics] = []
     grad_norms: list[float] = []
     for _ in range(config.epochs_per_update):
@@ -372,6 +378,7 @@ def update(
     keys = ("loss", "policy_loss", "value_loss", "entropy", "clip_fraction", "approx_kl")
     stats = {k: float(np.mean([getattr(d, k) for d in diagnostics])) for k in keys}
     stats["grad_norm"] = float(np.mean(grad_norms))
+    stats["explained_variance"] = float(explained_variance)
     return stats
 
 

@@ -349,6 +349,22 @@ class TestOptimizer:
         for name in results[0]:
             assert results[0][name].tobytes() == results[1][name].tobytes(), name
 
+    def test_update_reports_explained_variance(self):
+        net = ActorCritic(MLP_ARCH, (3,), 2, seed=1)
+        cfg = PpoConfig(minibatch_size=16, epochs_per_update=1)
+        buf = self._filled_buffer(net, seed=2)
+        expected = 1.0 - np.var(buf.returns - buf.values) / np.var(buf.returns)
+        stats = update(net, Adam(net.named_parameters(), 1e-3), buf, cfg, np.random.default_rng(3))
+        assert stats["explained_variance"] == expected
+        buf = self._filled_buffer(net, seed=2)
+        buf.values[:] = buf.returns
+        stats = update(net, Adam(net.named_parameters(), 1e-3), buf, cfg, np.random.default_rng(3))
+        assert stats["explained_variance"] == 1.0
+        buf = self._filled_buffer(net, seed=2)
+        buf.returns[:] = 0.5
+        stats = update(net, Adam(net.named_parameters(), 1e-3), buf, cfg, np.random.default_rng(3))
+        assert stats["explained_variance"] == 0.0
+
     def test_update_descends_on_fixed_batch(self):
         net = ActorCritic(MLP_ARCH, (3,), 2, seed=4)
         buf = self._filled_buffer(net, length=64, seed=5)
@@ -410,7 +426,7 @@ class TestTrainLoop:
             result = train(self._dataset(), self._env_cfg(), spec, cfg)
             assert len(result.update_stats) == 1
             for key in ("loss", "policy_loss", "value_loss", "entropy", "clip_fraction", "approx_kl",
-                        "grad_norm"):
+                        "grad_norm", "explained_variance"):
                 assert np.isfinite(result.update_stats[0][key])
             assert result.update_stats[0]["grad_norm"] > 0
 
