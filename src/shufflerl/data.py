@@ -133,9 +133,6 @@ class TurbulenceSeries:
     values: np.ndarray
     lookback: int
 
-    def defined_mask(self) -> np.ndarray:
-        return np.isfinite(self.values)
-
 
 def _parse_date(text: str, source: str, line: int) -> date:
     try:

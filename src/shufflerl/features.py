@@ -164,12 +164,6 @@ def apply_permutation(row: np.ndarray, spec: PermutationSpec) -> np.ndarray:
     return row[spec.perm]
 
 
-def invert_permutation(spec: PermutationSpec) -> PermutationSpec:
-    inverse = np.empty_like(spec.perm)
-    inverse[spec.perm] = np.arange(len(spec))
-    return PermutationSpec(inverse)
-
-
 def init_window(rows: list[np.ndarray], expected_length: int | None = None) -> WindowMatrix:
     """Stack ``window_length`` daily rows, oldest first."""
     if not rows:

@@ -3,7 +3,8 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from shufflerl.data import RATIO_COUNT, MarketDataset
+from shufflerl.data import RATIO_COUNT, MarketDataset, TurbulenceSeries
+from shufflerl.features import PermutationSpec
 
 
 def weekday_calendar(n, start=date(2020, 1, 6)):
@@ -25,6 +26,17 @@ def make_dataset(close, ratios=None, tickers=None):
     if tickers is None:
         tickers = tuple(f"T{i:02d}" for i in range(d))
     return MarketDataset(tuple(tickers), weekday_calendar(n), close, ratios)
+
+
+def invert_permutation(spec: PermutationSpec) -> PermutationSpec:
+    inverse = np.empty_like(spec.perm)
+    inverse[spec.perm] = np.arange(len(spec))
+    return PermutationSpec(inverse)
+
+
+def defined_mask(series: TurbulenceSeries) -> np.ndarray:
+    """Days whose turbulence is defined (past the lookback)."""
+    return np.isfinite(series.values)
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import make_dataset
+from conftest import invert_permutation, make_dataset
 from ledger_oracle import oracle_episode
 from shufflerl.cli import main as cli_main
 from shufflerl.data import generate_synthetic_market
@@ -24,7 +24,6 @@ from shufflerl.features import (
     FeatureLayout,
     apply_permutation,
     build_feature_vector,
-    invert_permutation,
     ticker_block_permutation,
 )
 from shufflerl.metrics import sharpe_ratio

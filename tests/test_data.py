@@ -3,7 +3,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from conftest import make_dataset
+from conftest import defined_mask, make_dataset
 from shufflerl.data import (
     RATIO_COLUMNS,
     DataError,
@@ -272,7 +272,7 @@ class TestTurbulence:
 
     def test_constant_prices_all_zero(self, flat_market):
         series = compute_turbulence(flat_market, lookback=4)
-        defined = series.values[series.defined_mask()]
+        defined = series.values[defined_mask(series)]
         assert defined.shape == (5,)
         np.testing.assert_array_equal(defined, 0.0)
 
@@ -291,7 +291,7 @@ class TestTurbulence:
     def test_nonnegative(self):
         dataset = generate_synthetic_market(seed=17, tickers=3, days=60, volatility=0.03)
         series = compute_turbulence(dataset, lookback=8)
-        assert np.all(series.values[series.defined_mask()] >= 0.0)
+        assert np.all(series.values[defined_mask(series)] >= 0.0)
 
     def test_invariant_to_uniform_rescaling(self):
         dataset = generate_synthetic_market(seed=21, tickers=2, days=40, volatility=0.02)
@@ -299,7 +299,7 @@ class TestTurbulence:
         a = compute_turbulence(dataset, lookback=6)
         b = compute_turbulence(scaled, lookback=6)
         np.testing.assert_allclose(
-            a.values[a.defined_mask()], b.values[b.defined_mask()], rtol=1e-9
+            a.values[defined_mask(a)], b.values[defined_mask(b)], rtol=1e-9
         )
 
     def test_insufficient_history(self, flat_market):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import invert_permutation
 from shufflerl.errors import NonFiniteError, ShuffleRlError
 from shufflerl.features import (
     FeatureLayout,
@@ -12,7 +13,6 @@ from shufflerl.features import (
     apply_permutation,
     build_feature_vector,
     init_window,
-    invert_permutation,
     slide_window,
     ticker_block_permutation,
 )
