@@ -1,14 +1,17 @@
 """Checkpoint serialization.
 
 A checkpoint is a directory holding ``manifest.json`` (architecture,
-tensor shapes, seed, code version, free-form metadata) and ``params.bin``,
-a flat little-endian float64 blob of every tensor in manifest order.
+tensor shapes, seed, code version, a hash of the package sources, the
+network's dtype, free-form metadata) and ``params.bin``, a flat
+little-endian blob of every tensor in manifest order, in that dtype.
 Trainable parameters and batch-norm running statistics are both stored, so
-a loaded network evaluates identically to the saved one.
+a loaded network is bit-for-bit the saved one. A manifest without a dtype
+is read as float64.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -22,7 +25,23 @@ MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "params.bin"
 FORMAT_VERSION = 1
 
-_DTYPE = np.dtype("<f8")
+_DTYPES = ("<f8", "<f4")  # the first is the default of a manifest without one
+
+
+def source_hash() -> str:
+    """sha256 over the names and bytes of this package's ``*.py`` sources."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def _dtype(manifest: dict) -> np.dtype:
+    name = manifest.get("dtype", _DTYPES[0])
+    if name not in _DTYPES:
+        raise ShuffleRlError(f"unsupported checkpoint dtype {name!r}")
+    return np.dtype(name)
 
 
 def _all_tensors(net: ActorCritic) -> list[tuple[str, np.ndarray, bool]]:
@@ -33,16 +52,19 @@ def _all_tensors(net: ActorCritic) -> list[tuple[str, np.ndarray, bool]]:
 
 def blob_size(manifest: dict) -> int:
     """Bytes of the blob that the manifest's tensor shapes imply."""
-    return sum(int(np.prod(e["shape"])) for e in manifest["tensors"]) * _DTYPE.itemsize
+    return sum(int(np.prod(e["shape"])) for e in manifest["tensors"]) * _dtype(manifest).itemsize
 
 
 def save_checkpoint(directory, net: ActorCritic, metadata: dict | None = None) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     tensors = _all_tensors(net)
+    dtype = net.dtype.newbyteorder("<")
     manifest = {
         "format_version": FORMAT_VERSION,
         "code_version": __version__,
+        "source_hash": source_hash(),
+        "dtype": dtype.str,
         "seed": net.seed,
         "architecture": net.arch.to_dict(),
         "observation_shape": list(net.obs_shape),
@@ -54,7 +76,7 @@ def save_checkpoint(directory, net: ActorCritic, metadata: dict | None = None) -
         "blob": BLOB_NAME,
         "metadata": metadata or {},
     }
-    blob = b"".join(np.ascontiguousarray(arr, dtype=_DTYPE).tobytes() for _, arr, _ in tensors)
+    blob = b"".join(np.ascontiguousarray(arr, dtype=dtype).tobytes() for _, arr, _ in tensors)
     (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     (directory / BLOB_NAME).write_bytes(blob)
     return directory
@@ -70,11 +92,13 @@ def load_checkpoint(directory) -> tuple[ActorCritic, dict]:
     if manifest.get("format_version") != FORMAT_VERSION:
         raise ShuffleRlError(f"unsupported checkpoint format {manifest.get('format_version')}")
     arch = ArchSpec.from_dict(manifest["architecture"])
+    dtype = _dtype(manifest)
     net = ActorCritic(
         arch,
         tuple(manifest["observation_shape"]),
         manifest["action_dim"],
         seed=manifest["seed"],
+        dtype=dtype,
     )
     tensors = _all_tensors(net)
     entries = manifest["tensors"]
@@ -90,7 +114,7 @@ def load_checkpoint(directory) -> tuple[ActorCritic, dict]:
         if shape != arr.shape:
             raise ShuffleRlError(f"tensor {name}: manifest shape {shape} != model shape {arr.shape}")
         count = int(np.prod(shape))
-        values = np.frombuffer(raw, dtype=_DTYPE, count=count, offset=offset).reshape(shape)
+        values = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(shape)
         arr[...] = values
-        offset += count * _DTYPE.itemsize
+        offset += count * dtype.itemsize
     return net, manifest

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from shufflerl import __version__
 from shufflerl.archive import load_archive, save_archive
-from shufflerl.checkpoint import MANIFEST_NAME, blob_size, load_checkpoint, save_checkpoint
+from shufflerl.checkpoint import MANIFEST_NAME, blob_size, load_checkpoint, save_checkpoint, source_hash
 from shufflerl.data import (
     MarketDataset,
     align_forward_fill,
@@ -131,20 +131,21 @@ def _train_one(
 
 
 def _run_is_cached(run_dir: Path, metadata: dict) -> bool:
-    """A run is reused only if its checkpoint records the metadata and code
-    version this run would write and its blob has the size its manifest
-    implies."""
+    """A run is reused only if its checkpoint records the metadata, code
+    version and source hash this run would write and its blob has the size
+    its manifest implies."""
     checkpoint = run_dir / "checkpoint"
     try:
         manifest = json.loads((checkpoint / MANIFEST_NAME).read_text())
         blob_ok = (checkpoint / manifest["blob"]).stat().st_size == blob_size(manifest)
-    except (OSError, ValueError, KeyError, TypeError):  # missing or malformed checkpoint
+    except (OSError, ValueError, KeyError, TypeError, ShuffleRlError):  # missing or malformed checkpoint
         return False
     return (
         blob_ok
         and (run_dir / "curve.csv").exists()
         and (run_dir / "stats.jsonl").exists()
         and manifest.get("code_version") == __version__
+        and manifest.get("source_hash") == source_hash()
         and manifest.get("metadata") == json.loads(json.dumps(metadata))  # as stored: tuples become lists
     )
 

@@ -3,8 +3,9 @@
 The network is a fixed chain (two strided convolutions with 2D batch
 normalization and ReLU, flatten, one linear projection), so every layer
 carries its own hand-written backward instead of a general autodiff graph.
-All arrays are float64; any NaN or Inf produced by a layer raises
-immediately, naming the layer.
+A network computes in the dtype it is built with: float64 by default, which
+the finite-difference gradient checks need, or float32, which training uses.
+Any NaN or Inf produced by a layer raises immediately, naming the layer.
 
 Conventions that silently diverge between implementations, pinned here:
 valid (no-padding) cross-correlation with ``out = floor((in - k)/stride) + 1``;
@@ -71,7 +72,7 @@ class Conv2d:
         sh, sw = self.stride
         windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]  # (b, c, oh, ow, kh, kw)
         windows = windows.transpose(0, 1, 4, 5, 2, 3)
-        cols = np.empty(windows.shape[1:])
+        cols = np.empty(windows.shape[1:], dtype=self.weight.dtype)
         cols_mat = cols.reshape(-1, cols.shape[-2] * cols.shape[-1])
         for sample in windows:
             np.copyto(cols, sample)
@@ -86,7 +87,7 @@ class Conv2d:
         oh = conv_output_size(h, kh, sh)
         ow = conv_output_size(w, kw, sw)
         w_mat = self.weight.reshape(out_ch, -1)
-        out = np.empty((b, out_ch, oh * ow))
+        out = np.empty((b, out_ch, oh * ow), dtype=self.weight.dtype)
         for i, cols in enumerate(self._columns(x)):
             np.matmul(w_mat, cols, out=out[i])
         out += self.bias[:, None]
@@ -101,11 +102,11 @@ class Conv2d:
         sh, sw = self.stride
         oh, ow = dout.shape[2:]
         dout_mat = dout.reshape(b, out_ch, oh * ow)
-        dweight = np.zeros((out_ch, in_ch * kh * kw))
+        dweight = np.zeros((out_ch, in_ch * kh * kw), dtype=self.weight.dtype)
         # col2im one kernel row at a time keeps the input-gradient columns at
         # 1/kh of the im2col size.
         w_rows = [self.weight[:, :, u, :].reshape(out_ch, in_ch * kw).T for u in range(kh)]
-        dx = np.zeros(x.shape) if need_dx else None
+        dx = np.zeros(x.shape, dtype=self.weight.dtype) if need_dx else None
         for i, cols in enumerate(self._columns(x)):
             dweight += dout_mat[i] @ cols.T
             if need_dx:
@@ -140,8 +141,8 @@ class BatchNorm2d:
         self.momentum = momentum
         self.eps = eps
         channels = gamma.shape[0]
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
+        self.running_mean = np.zeros(channels, dtype=gamma.dtype)
+        self.running_var = np.ones(channels, dtype=gamma.dtype)
         self.training = True
 
     def params(self):
@@ -370,8 +371,10 @@ class ArchSpec:
         )
 
 
-def _kaiming(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    return rng.standard_normal(shape) * math.sqrt(2.0 / fan_in)
+def _kaiming(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dtype=np.float64) -> np.ndarray:
+    """He-normal weights drawn in float64 and then cast, so a float32 network
+    holds its float64 twin's initial values rounded."""
+    return (rng.standard_normal(shape) * math.sqrt(2.0 / fan_in)).astype(dtype, copy=False)
 
 
 def cnn_feature_shapes(
@@ -387,7 +390,9 @@ def cnn_feature_shapes(
     return shapes
 
 
-def build_extractor(arch: ArchSpec, obs_shape: tuple[int, ...], rng: np.random.Generator) -> Sequential:
+def build_extractor(
+    arch: ArchSpec, obs_shape: tuple[int, ...], rng: np.random.Generator, dtype=np.float64
+) -> Sequential:
     """Feature extractor mapping an observation batch to embeddings.
 
     The CNN variant expects 2-D observations (window rows by feature
@@ -403,25 +408,23 @@ def build_extractor(arch: ArchSpec, obs_shape: tuple[int, ...], rng: np.random.G
         for li, (ch, (kh, kw), stride) in enumerate(
             zip(arch.conv_channels, arch.conv_kernels, arch.conv_strides), start=1
         ):
-            weight = _kaiming(rng, (ch, in_ch, kh, kw), fan_in=in_ch * kh * kw)
-            layers.append(Conv2d(f"conv{li}", weight, np.zeros(ch), stride))
-            layers.append(BatchNorm2d(f"bn{li}", np.ones(ch), np.zeros(ch)))
+            weight = _kaiming(rng, (ch, in_ch, kh, kw), fan_in=in_ch * kh * kw, dtype=dtype)
+            layers.append(Conv2d(f"conv{li}", weight, np.zeros(ch, dtype), stride))
+            layers.append(BatchNorm2d(f"bn{li}", np.ones(ch, dtype), np.zeros(ch, dtype)))
             layers.append(ReLU(f"relu{li}"))
             in_ch = ch
         flat = int(np.prod(shapes[-1]))
         layers.append(Flatten("flatten"))
-        layers.append(
-            Linear("embed", _kaiming(rng, (arch.embed_dim, flat), fan_in=flat), np.zeros(arch.embed_dim))
-        )
+        weight = _kaiming(rng, (arch.embed_dim, flat), fan_in=flat, dtype=dtype)
+        layers.append(Linear("embed", weight, np.zeros(arch.embed_dim, dtype)))
         layers.append(ReLU("relu_embed"))
         return Sequential(layers)
 
     in_features = int(np.prod(obs_shape))
     layers = [Flatten("flatten")]
     for li, hidden in enumerate(arch.mlp_hidden, start=1):
-        layers.append(
-            Linear(f"fc{li}", _kaiming(rng, (hidden, in_features), fan_in=in_features), np.zeros(hidden))
-        )
+        weight = _kaiming(rng, (hidden, in_features), fan_in=in_features, dtype=dtype)
+        layers.append(Linear(f"fc{li}", weight, np.zeros(hidden, dtype)))
         layers.append(ReLU(f"relu{li}"))
         in_features = hidden
     return Sequential(layers)
@@ -438,22 +441,29 @@ class ActorCritic:
 
     The action log-stds are a state-independent learned vector, clamped to
     the configured bounds on every use.
+
+    Parameters, batch-norm statistics, caches and gradients all have the
+    ``dtype`` the network is built with; observations and the output
+    gradients handed to ``backward`` are cast to it.
     """
 
-    def __init__(self, arch: ArchSpec, obs_shape: tuple[int, ...], action_dim: int, seed: int):
+    def __init__(
+        self, arch: ArchSpec, obs_shape: tuple[int, ...], action_dim: int, seed: int, dtype=np.float64
+    ):
         self.arch = arch
         self.obs_shape = tuple(int(s) for s in obs_shape)
         self.action_dim = int(action_dim)
         self.seed = int(seed)
+        self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(seed)
-        self.extractor = build_extractor(arch, self.obs_shape, rng)
+        self.extractor = build_extractor(arch, self.obs_shape, rng, self.dtype)
         embed = extractor_out_dim(arch, self.obs_shape)
         gain = arch.head_gain
-        self.policy_head = Linear(
-            "policy", gain * _kaiming(rng, (action_dim, embed), fan_in=embed), np.zeros(action_dim)
-        )
-        self.value_head = Linear("value", gain * _kaiming(rng, (1, embed), fan_in=embed), np.zeros(1))
-        self.log_std = np.full(action_dim, arch.log_std_init)
+        policy_w = (gain * _kaiming(rng, (action_dim, embed), fan_in=embed)).astype(self.dtype)
+        value_w = (gain * _kaiming(rng, (1, embed), fan_in=embed)).astype(self.dtype)
+        self.policy_head = Linear("policy", policy_w, np.zeros(action_dim, self.dtype))
+        self.value_head = Linear("value", value_w, np.zeros(1, self.dtype))
+        self.log_std = np.full(action_dim, arch.log_std_init, dtype=self.dtype)
         self.training = True
 
     def set_training(self, training: bool):
@@ -476,7 +486,7 @@ class ActorCritic:
         return np.clip(self.log_std, low, high)
 
     def _as_batch(self, obs: np.ndarray) -> np.ndarray:
-        obs = np.asarray(obs, dtype=np.float64)
+        obs = np.asarray(obs, dtype=self.dtype)
         if obs.shape[1:] != self.obs_shape:
             raise ShuffleRlError(f"expected observations of shape {self.obs_shape}, got {obs.shape[1:]}")
         if self.arch.kind == "cnn":
@@ -498,6 +508,8 @@ class ActorCritic:
         math lives with the policy objective; clamping is applied there).
         """
         caches, policy_cache, value_cache = cache
+        dmu = np.asarray(dmu, dtype=self.dtype)
+        dvalue = np.asarray(dvalue, dtype=self.dtype)
         dembed_p, policy_grads = self.policy_head.backward(policy_cache, dmu)
         dembed_v, value_grads = self.value_head.backward(value_cache, dvalue[:, None])
         extractor_grads = self.extractor.backward(caches, dembed_p + dembed_v)

@@ -87,11 +87,15 @@ def _obs_array(obs) -> np.ndarray:
 
 
 class RolloutBuffer:
-    """Fixed-length trajectory store with GAE results attached."""
+    """Fixed-length trajectory store with GAE results attached.
 
-    def __init__(self, length: int, obs_shape: tuple[int, ...], action_dim: int):
+    Observations are stored in ``obs_dtype`` (the network's dtype); actions,
+    log-probabilities, rewards, values and GAE results stay float64.
+    """
+
+    def __init__(self, length: int, obs_shape: tuple[int, ...], action_dim: int, obs_dtype=np.float64):
         self.length = length
-        self.observations = np.zeros((length, *obs_shape))
+        self.observations = np.zeros((length, *obs_shape), dtype=obs_dtype)
         self.actions = np.zeros((length, action_dim))
         self.log_probs = np.zeros(length)
         self.rewards = np.zeros(length)
@@ -249,7 +253,7 @@ def ppo_loss_and_grads(
 
     z_sq = ((actions - mu) ** 2) / sigma_sq[None, :]
     dlog_std = (dlogp[:, None] * (z_sq - 1.0)).sum(axis=0) - config.entropy_coef
-    grads["log_std"] = dlog_std * net.log_std_grad_mask()
+    grads["log_std"] = (dlog_std * net.log_std_grad_mask()).astype(net.dtype)
 
     diagnostics = LossDiagnostics(
         loss=float(loss),
@@ -290,7 +294,8 @@ class Adam:
         self.m = {name: np.zeros_like(p) for name, p in params}
         self.v = {name: np.zeros_like(p) for name, p in params}
         self.t = 0
-        self._scratch = (np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK))
+        dtype = np.result_type(*(p.dtype for _, p in params)) if params else np.float64
+        self._scratch = (np.empty(_ADAM_CHUNK, dtype), np.empty(_ADAM_CHUNK, dtype))
 
     def step(self, grads: dict[str, np.ndarray]):
         """``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g**2`` and
@@ -402,8 +407,11 @@ def train_on_env(
     Episodes restart transparently inside rollouts; each completed episode
     appends (global timestep, episode index, cumulative reward) to the
     curve. ``total_timesteps`` below one rollout means zero updates.
+
+    The network, its optimizer state and the stored observations are
+    float32; the env, GAE and the loss's scalar statistics stay float64.
     """
-    net = ActorCritic(arch, obs_shape, action_dim, seed=config.seed)
+    net = ActorCritic(arch, obs_shape, action_dim, seed=config.seed, dtype=np.float32)
     net.set_training(True)
     optimizer = Adam(net.named_parameters(), config.learning_rate)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
@@ -417,7 +425,7 @@ def train_on_env(
     episode_reward = 0.0
     episode_index = 0
     for _ in range(n_updates):
-        buffer = RolloutBuffer(config.rollout_length, obs_shape, action_dim)
+        buffer = RolloutBuffer(config.rollout_length, obs_shape, action_dim, net.dtype)
         last_done = False
         while not buffer.full:
             action, log_prob, value = sample_action(net, obs, rng)

@@ -437,6 +437,21 @@ class TestCliCompare:
         assert {run["agent"]: run["reused"] for run in manifest["runs"]} == {"mlp": True, "cnn": False}
         assert blob.read_bytes() == full
 
+    def test_changed_source_hash_retrains(self, tmp_path, archive, capsys):
+        # Same metadata, code version and blob size: only the sources differ.
+        path = self._two_agents(tmp_path, archive, 32)
+        assert main(["compare", "--config", str(path)]) == 0
+        manifest_path = tmp_path / "cmp" / "runs" / "cnn-seed0" / "checkpoint" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["source_hash"] = "0" * 64
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["compare", "--config", str(path)]) == 0
+        assert "reused 1 cached run(s)" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "cmp" / "manifest.json").read_text())
+        assert {run["agent"]: run["reused"] for run in manifest["runs"]} == {"mlp": True, "cnn": False}
+        assert json.loads(manifest_path.read_text())["source_hash"] != "0" * 64
+
     def test_run_killed_after_manifest_retrains(self, tmp_path, archive, monkeypatch, capsys):
         # A 32-step run's blob has the same size as a 64-step run's, so a
         # new manifest written over the old blob would look complete.

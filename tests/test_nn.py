@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -601,6 +603,48 @@ class TestCheckpoint:
         first = dict(net.named_parameters())["fc1.weight"]
         decoded = np.frombuffer(raw, dtype="<f8", count=first.size).reshape(first.shape)
         np.testing.assert_array_equal(decoded, first)
+
+    def test_float32_round_trip_byte_exact(self, tmp_path):
+        net = ActorCritic(TOY_ARCH, (6, 8), 3, seed=5, dtype=np.float32)
+        net.forward(np.random.default_rng(1).standard_normal((4, 6, 8)))
+        save_checkpoint(tmp_path / "ckpt", net)
+        loaded, manifest = load_checkpoint(tmp_path / "ckpt")
+        assert manifest["dtype"] == "<f4"
+        assert loaded.dtype == np.float32
+        tensors = net.named_parameters() + net.named_buffers()
+        assert (tmp_path / "ckpt" / "params.bin").stat().st_size == 4 * sum(p.size for _, p in tensors)
+        for (name, pa), (_, pb) in zip(tensors, loaded.named_parameters() + loaded.named_buffers()):
+            assert pb.dtype == np.float32, name
+            assert pa.tobytes() == pb.tobytes(), name
+
+    def test_manifest_without_dtype_loads_as_float64(self, tmp_path):
+        net = ActorCritic(TOY_ARCH, (6, 8), 3, seed=5)
+        save_checkpoint(tmp_path / "ckpt", net)
+        manifest_path = tmp_path / "ckpt" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["dtype"]
+        manifest_path.write_text(json.dumps(manifest))
+        loaded, _ = load_checkpoint(tmp_path / "ckpt")
+        assert loaded.dtype == np.float64
+        for (name, pa), (_, pb) in zip(net.named_parameters(), loaded.named_parameters()):
+            assert pa.tobytes() == pb.tobytes(), name
+
+    def test_unsupported_dtype_rejected(self, tmp_path):
+        save_checkpoint(tmp_path / "ckpt", ActorCritic(TOY_ARCH, (6, 8), 3, seed=5))
+        manifest_path = tmp_path / "ckpt" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["dtype"] = "<i8"
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ShuffleRlError, match="unsupported checkpoint dtype"):
+            load_checkpoint(tmp_path / "ckpt")
+
+    def test_truncated_float32_blob_rejected(self, tmp_path):
+        net = ActorCritic(TOY_ARCH, (6, 8), 3, seed=5, dtype=np.float32)
+        save_checkpoint(tmp_path / "ckpt", net)
+        blob = tmp_path / "ckpt" / "params.bin"
+        blob.write_bytes(blob.read_bytes()[:-4])
+        with pytest.raises(ShuffleRlError, match="blob size"):
+            load_checkpoint(tmp_path / "ckpt")
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ShuffleRlError):

@@ -6,8 +6,9 @@ import pytest
 from scipy import stats
 
 from conftest import make_dataset
+from shufflerl import ppo
 from shufflerl.data import generate_synthetic_market
-from shufflerl.env import EnvConfig
+from shufflerl.env import EnvConfig, TradingEnv
 from shufflerl.errors import ShuffleRlError
 from shufflerl.nn import ActorCritic, ArchSpec, grad_check
 from shufflerl.ppo import (
@@ -30,6 +31,8 @@ from shufflerl.ppo import (
 )
 
 MLP_ARCH = ArchSpec(kind="mlp", mlp_hidden=(8, 8))
+TOY_CNN_ARCH = ArchSpec(kind="cnn", conv_channels=(2, 2), conv_kernels=((2, 4), (2, 4)),
+                        conv_strides=((1, 2), (1, 2)), embed_dim=4)
 
 
 class WholeTensorAdam:
@@ -396,7 +399,7 @@ class TestTrainLoop:
         result = train(self._dataset(), self._env_cfg(), AgentSpec(kind="mlp", arch=MLP_ARCH), cfg)
         assert result.update_stats == []
         assert result.timesteps == 0
-        fresh = ActorCritic(MLP_ARCH, (5, 35), 2, seed=0)
+        fresh = ActorCritic(MLP_ARCH, (5, 35), 2, seed=0, dtype=np.float32)
         for (name, p), (_, q) in zip(result.net.named_parameters(), fresh.named_parameters()):
             assert p.tobytes() == q.tobytes(), name
 
@@ -417,12 +420,10 @@ class TestTrainLoop:
 
     def test_same_trainer_code_paths_for_mlp_and_cnn(self):
         # both extractor kinds run through the identical train()/update() code
-        cnn_arch = ArchSpec(kind="cnn", conv_channels=(2, 2), conv_kernels=((2, 4), (2, 4)),
-                            conv_strides=((1, 2), (1, 2)), embed_dim=4)
         cfg = PpoConfig(total_timesteps=32, rollout_length=32, minibatch_size=16,
                         epochs_per_update=1, seed=0)
-        for spec in (AgentSpec(kind="mlp", arch=MLP_ARCH), AgentSpec(kind="cnn", arch=cnn_arch),
-                     AgentSpec(kind="cnn-shuffled", arch=cnn_arch)):
+        for spec in (AgentSpec(kind="mlp", arch=MLP_ARCH), AgentSpec(kind="cnn", arch=TOY_CNN_ARCH),
+                     AgentSpec(kind="cnn-shuffled", arch=TOY_CNN_ARCH)):
             result = train(self._dataset(), self._env_cfg(), spec, cfg)
             assert len(result.update_stats) == 1
             for key in ("loss", "policy_loss", "value_loss", "entropy", "clip_fraction", "approx_kl",
@@ -435,6 +436,78 @@ class TestTrainLoop:
                         minibatch_size=64, epochs_per_update=4, total_timesteps=128 * 60, seed=0)
         result = train_on_env(SignBandit(100), (1,), 1, ArchSpec(kind="mlp", mlp_hidden=(16,)), cfg)
         assert optimal_action_probability(result.net) > 0.9
+
+
+class TestFloat32Training:
+    @pytest.mark.parametrize("spec", [AgentSpec(kind="mlp", arch=MLP_ARCH),
+                                      AgentSpec(kind="cnn-shuffled", arch=TOY_CNN_ARCH)],
+                             ids=["mlp", "cnn"])
+    def test_network_optimizer_gradients_and_observations_are_float32(self, monkeypatch, spec):
+        seen = {"grads": []}
+        real_update, real_loss = ppo.update, ppo.ppo_loss_and_grads
+
+        def spy_update(net, optimizer, buffer, config, rng):
+            seen["optimizer"], seen["buffer"] = optimizer, buffer
+            return real_update(net, optimizer, buffer, config, rng)
+
+        def spy_loss(*args):
+            diagnostics, grads = real_loss(*args)
+            seen["grads"].append(dict(grads))
+            return diagnostics, grads
+
+        monkeypatch.setattr(ppo, "update", spy_update)
+        monkeypatch.setattr(ppo, "ppo_loss_and_grads", spy_loss)
+        cfg = PpoConfig(total_timesteps=32, rollout_length=32, minibatch_size=16, epochs_per_update=1, seed=0)
+        dataset = generate_synthetic_market(seed=1, tickers=2, days=40, drift=0.001, volatility=0.01)
+        result = train(dataset, EnvConfig(window_length=5, turbulence_lookback=None), spec, cfg)
+        net, optimizer = result.net, seen["optimizer"]
+
+        assert len(result.update_stats) == 1 and len(seen["grads"]) == 2
+        tensors = [*net.named_parameters(), *net.named_buffers()]
+        tensors += [(f"m[{name}]", m) for name, m in optimizer.m.items()]
+        tensors += [(f"v[{name}]", v) for name, v in optimizer.v.items()]
+        tensors += [(f"grad{i}[{name}]", g) for i, grads in enumerate(seen["grads"]) for name, g in grads.items()]
+        tensors.append(("observations", seen["buffer"].observations))
+        assert len(net.named_buffers()) == (4 if spec.kind == "cnn-shuffled" else 0)
+        assert {name: arr.dtype for name, arr in tensors if arr.dtype != np.float32} == {}
+        assert seen["buffer"].rewards.dtype == np.float64
+
+    @pytest.mark.parametrize("kind", ["mlp", "cnn-shuffled"])
+    def test_gradients_agree_with_float64_at_paper_shape(self, kind):
+        # One batch of 4 paper-shape observations (30 tickers, 90x511).
+        agent = AgentSpec(kind=kind)
+        market = generate_synthetic_market(seed=2, tickers=30, days=100)
+        trading_env = TradingEnv(market, make_env_config(EnvConfig(turbulence_lookback=None), agent, 30))
+        rng = np.random.default_rng(2)
+        obs = [trading_env.reset().rows]
+        while len(obs) < 4:
+            obs.append(trading_env.step(rng.uniform(-1.0, 1.0, 30)).observation.rows)
+        obs = np.stack(obs)
+        net32 = ActorCritic(agent.resolve_arch(), obs.shape[1:], 30, seed=2, dtype=np.float32)
+        net64 = ActorCritic(agent.resolve_arch(), obs.shape[1:], 30, seed=2)
+        for (_, p64), (_, p32) in zip(net64.named_parameters(), net32.named_parameters()):
+            p64[...] = p32
+        mu, values, _ = net64.forward(obs)
+        log_std = net64.effective_log_std()
+        actions = mu + np.exp(log_std) * rng.standard_normal(mu.shape)
+        old_log_probs = gaussian_log_prob(actions, mu, log_std)
+        advantages = rng.standard_normal(4)
+        advantages = (advantages - advantages.mean()) / advantages.std()
+        returns = values + 0.01 * rng.standard_normal(4)
+        batch = (obs, actions, old_log_probs, advantages, returns, PpoConfig())
+
+        _, g32 = ppo_loss_and_grads(net32, *batch)
+        _, g64 = ppo_loss_and_grads(net64, *batch)
+        largest = max(np.abs(g).max() for g in g64.values())
+        errors = {}
+        for name, g in g64.items():
+            scale = np.abs(g).max()
+            # Batch norm cancels the conv biases' gradient (measured ~1e-17).
+            if scale < 1e-9 * largest:
+                continue
+            errors[name] = np.abs(g32[name] - g).max() / scale
+        assert len(errors) >= len(g64) - 2
+        assert {name: e for name, e in errors.items() if e > 1e-3} == {}
 
 
 class TestEvaluate:
