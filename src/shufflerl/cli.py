@@ -131,9 +131,9 @@ def _train_one(
 
 
 def _run_is_cached(run_dir: Path, metadata: dict) -> bool:
-    """A run is reused only if its checkpoint records the metadata, code
-    version and source hash this run would write and its blob has the size
-    its manifest implies."""
+    """A run is reused only if its checkpoint records the metadata and source
+    hash this run would write and its blob has the size its manifest implies.
+    The hash covers ``__init__.py``, so a version bump also retrains."""
     checkpoint = run_dir / "checkpoint"
     try:
         manifest = json.loads((checkpoint / MANIFEST_NAME).read_text())
@@ -144,7 +144,6 @@ def _run_is_cached(run_dir: Path, metadata: dict) -> bool:
         blob_ok
         and (run_dir / "curve.csv").exists()
         and (run_dir / "stats.jsonl").exists()
-        and manifest.get("code_version") == __version__
         and manifest.get("source_hash") == source_hash()
         and manifest.get("metadata") == json.loads(json.dumps(metadata))  # as stored: tuples become lists
     )

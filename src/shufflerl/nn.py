@@ -371,10 +371,8 @@ class ArchSpec:
         )
 
 
-def _kaiming(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dtype=np.float64) -> np.ndarray:
-    """He-normal weights drawn in float64 and then cast, so a float32 network
-    holds its float64 twin's initial values rounded."""
-    return (rng.standard_normal(shape) * math.sqrt(2.0 / fan_in)).astype(dtype, copy=False)
+def _kaiming(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
+    return rng.standard_normal(shape) * math.sqrt(2.0 / fan_in)
 
 
 def cnn_feature_shapes(
@@ -408,14 +406,14 @@ def build_extractor(
         for li, (ch, (kh, kw), stride) in enumerate(
             zip(arch.conv_channels, arch.conv_kernels, arch.conv_strides), start=1
         ):
-            weight = _kaiming(rng, (ch, in_ch, kh, kw), fan_in=in_ch * kh * kw, dtype=dtype)
+            weight = _kaiming(rng, (ch, in_ch, kh, kw), fan_in=in_ch * kh * kw).astype(dtype)
             layers.append(Conv2d(f"conv{li}", weight, np.zeros(ch, dtype), stride))
             layers.append(BatchNorm2d(f"bn{li}", np.ones(ch, dtype), np.zeros(ch, dtype)))
             layers.append(ReLU(f"relu{li}"))
             in_ch = ch
         flat = int(np.prod(shapes[-1]))
         layers.append(Flatten("flatten"))
-        weight = _kaiming(rng, (arch.embed_dim, flat), fan_in=flat, dtype=dtype)
+        weight = _kaiming(rng, (arch.embed_dim, flat), fan_in=flat).astype(dtype)
         layers.append(Linear("embed", weight, np.zeros(arch.embed_dim, dtype)))
         layers.append(ReLU("relu_embed"))
         return Sequential(layers)
@@ -423,7 +421,7 @@ def build_extractor(
     in_features = int(np.prod(obs_shape))
     layers = [Flatten("flatten")]
     for li, hidden in enumerate(arch.mlp_hidden, start=1):
-        weight = _kaiming(rng, (hidden, in_features), fan_in=in_features, dtype=dtype)
+        weight = _kaiming(rng, (hidden, in_features), fan_in=in_features).astype(dtype)
         layers.append(Linear(f"fc{li}", weight, np.zeros(hidden, dtype)))
         layers.append(ReLU(f"relu{li}"))
         in_features = hidden

@@ -87,15 +87,14 @@ def _obs_array(obs) -> np.ndarray:
 
 
 class RolloutBuffer:
-    """Fixed-length trajectory store with GAE results attached.
+    """Fixed-length trajectory store with GAE results attached."""
 
-    Observations are stored in ``obs_dtype`` (the network's dtype); actions,
-    log-probabilities, rewards, values and GAE results stay float64.
-    """
-
-    def __init__(self, length: int, obs_shape: tuple[int, ...], action_dim: int, obs_dtype=np.float64):
+    def __init__(self, length: int, obs_shape: tuple[int, ...], action_dim: int):
         self.length = length
-        self.observations = np.zeros((length, *obs_shape), dtype=obs_dtype)
+        # float32, the training network's dtype, halves the largest array of
+        # a rollout; actions, log-probabilities, rewards, values and GAE
+        # results stay float64.
+        self.observations = np.zeros((length, *obs_shape), dtype=np.float32)
         self.actions = np.zeros((length, action_dim))
         self.log_probs = np.zeros(length)
         self.rewards = np.zeros(length)
@@ -294,7 +293,7 @@ class Adam:
         self.m = {name: np.zeros_like(p) for name, p in params}
         self.v = {name: np.zeros_like(p) for name, p in params}
         self.t = 0
-        dtype = np.result_type(*(p.dtype for _, p in params)) if params else np.float64
+        dtype = np.result_type(*(p.dtype for _, p in params))
         self._scratch = (np.empty(_ADAM_CHUNK, dtype), np.empty(_ADAM_CHUNK, dtype))
 
     def step(self, grads: dict[str, np.ndarray]):
@@ -425,7 +424,7 @@ def train_on_env(
     episode_reward = 0.0
     episode_index = 0
     for _ in range(n_updates):
-        buffer = RolloutBuffer(config.rollout_length, obs_shape, action_dim, net.dtype)
+        buffer = RolloutBuffer(config.rollout_length, obs_shape, action_dim)
         last_done = False
         while not buffer.full:
             action, log_prob, value = sample_action(net, obs, rng)
