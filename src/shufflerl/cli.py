@@ -3,8 +3,7 @@
 Subcommands: ingest, synth, train, evaluate, compare. Exit codes are a
 stable scripting contract: 0 success, 1 usage/config error, 2 data error,
 3 runtime error. No command mutates its inputs; all outputs land under the
-declared output directory. ``SHUFFLERL_THREADS`` caps how many runs (agent
-and seed pairs) train in parallel.
+declared output directory.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import json
 import os
 import shutil
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,6 +21,8 @@ from shufflerl import __version__
 from shufflerl.archive import load_archive, save_archive
 from shufflerl.checkpoint import MANIFEST_NAME, blob_size, load_checkpoint, save_checkpoint, source_hash
 from shufflerl.data import (
+    SYNTH_DRIFT,
+    SYNTH_VOLATILITY,
     MarketDataset,
     align_forward_fill,
     generate_synthetic_market,
@@ -41,6 +41,7 @@ from shufflerl.ppo import (
 )
 from shufflerl.runconfig import (
     RunConfig,
+    SplitSpec,
     load_run_config,
     materialize_dataset,
     resolve_split,
@@ -56,15 +57,6 @@ class _UsageError(ConfigError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _seed_workers(n_jobs: int) -> int:
-    raw = os.environ.get("SHUFFLERL_THREADS", "1")
-    try:
-        cap = max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"SHUFFLERL_THREADS must be an integer, got {raw!r}") from None
-    return min(cap, n_jobs)
 
 
 def _write_curve_csv(path: Path, rows) -> None:
@@ -86,7 +78,7 @@ def _write_stats_jsonl(path: Path, stats: list[dict]) -> None:
 def _checkpoint_metadata(
     config: RunConfig, agent: AgentSpec, seed: int, fingerprint: str
 ) -> dict:
-    """Everything that determines a run's artifacts besides the code version."""
+    """Everything that determines a run's artifacts besides the source hash."""
     resolved = config.resolved_dict()
     return {
         "agent_kind": agent.kind,
@@ -215,15 +207,8 @@ def _execute_runs(
             if not cached:
                 jobs.append((agent, seed, run_dir, metadata))
     _write_manifest(out_dir, config, fingerprint, runs, dataset.ticker_count)
-    workers = _seed_workers(len(jobs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_train_one, config, dataset, *job) for job in jobs]
-            for future in futures:
-                future.result()
-    else:
-        for job in jobs:
-            _train_one(config, dataset, *job)
+    for job in jobs:
+        _train_one(config, dataset, *job)
     return runs
 
 
@@ -287,8 +272,6 @@ def cmd_evaluate(args) -> int:
 
     split_spec = metadata.get("split")
     if split_spec is not None:
-        from shufflerl.runconfig import SplitSpec
-
         split = SplitSpec(**split_spec)
         train_part, test_part = resolve_split(dataset, split)
         part = train_part if args.split == "train" else test_part
@@ -382,8 +365,8 @@ def build_parser() -> _Parser:
     p_synth.add_argument("--seed", type=int, required=True)
     p_synth.add_argument("--tickers", type=int, required=True)
     p_synth.add_argument("--days", type=int, required=True)
-    p_synth.add_argument("--drift", type=float, default=0.0005, help="per-day drift rate")
-    p_synth.add_argument("--volatility", type=float, default=0.01, help="per-day volatility")
+    p_synth.add_argument("--drift", type=float, default=SYNTH_DRIFT, help="per-day drift rate")
+    p_synth.add_argument("--volatility", type=float, default=SYNTH_VOLATILITY, help="per-day volatility")
     p_synth.add_argument("--out", required=True)
     p_synth.set_defaults(func=cmd_synth)
 

@@ -41,6 +41,11 @@ RATIO_COLUMNS = (
 
 RATIO_COUNT = len(RATIO_COLUMNS)
 
+# Default per-day drift and volatility of the synthetic market, shared by
+# the synth command and run configs.
+SYNTH_DRIFT = 0.0005
+SYNTH_VOLATILITY = 0.01
+
 # Typical magnitudes for the synthetic generator, one per ratio column.
 _SYNTH_RATIO_BASE = np.array(
     [1.5, 0.6, 1.1, 0.5, 1.2, 6.0, 8.0, 7.0, 0.15, 0.10, 0.07, 0.14, 5.0, 30.0, 1.5]
@@ -117,9 +122,6 @@ class MarketDataset:
     @property
     def ticker_count(self) -> int:
         return len(self.tickers)
-
-    def day_index(self, day: date) -> int:
-        return self.days.index(day)
 
 
 @dataclass(frozen=True)
@@ -294,8 +296,8 @@ def generate_synthetic_market(
     seed: int,
     tickers: int,
     days: int,
-    drift: float = 0.0005,
-    volatility: float = 0.01,
+    drift: float = SYNTH_DRIFT,
+    volatility: float = SYNTH_VOLATILITY,
     quarter_length: int = 63,
 ) -> MarketDataset:
     """Geometric-random-walk market, deterministic for a fixed seed.

@@ -11,7 +11,7 @@ current holdings, buys at affordability.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -308,7 +308,6 @@ class EpisodeResult:
     rewards: list[float]
     discounted_return: float
     values: list[float]
-    infos: list[dict] = field(default_factory=list)
 
     @property
     def total_reward(self) -> float:
@@ -326,7 +325,6 @@ def run_episode(env: TradingEnv, policy, gamma: float) -> EpisodeResult:
     obs = env.reset()
     start_day = env.state.day_index
     rewards: list[float] = []
-    infos: list[dict] = []
     values = [portfolio_value(env.state, env.dataset.close[start_day])]
     discounted = 0.0
     weight = 1.0
@@ -334,8 +332,7 @@ def run_episode(env: TradingEnv, policy, gamma: float) -> EpisodeResult:
         result = env.step(policy(obs))
         obs = result.observation
         rewards.append(result.reward)
-        infos.append(result.info)
         values.append(result.info["portfolio_value"])
         discounted += weight * result.reward
         weight *= gamma
-    return EpisodeResult(rewards, discounted, values, infos)
+    return EpisodeResult(rewards, discounted, values)

@@ -19,7 +19,6 @@ throughout: ``out[k] = in[perm[k]]``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,13 +72,6 @@ class PermutationSpec:
 
     def __len__(self) -> int:
         return int(self.perm.shape[0])
-
-    def to_json(self) -> str:
-        return json.dumps([int(k) for k in self.perm])
-
-    @classmethod
-    def from_json(cls, text: str) -> "PermutationSpec":
-        return cls(np.asarray(json.loads(text), dtype=np.int64))
 
 
 @dataclass

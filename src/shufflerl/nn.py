@@ -321,7 +321,9 @@ class Sequential:
 
 @dataclass(frozen=True)
 class ArchSpec:
-    """Concrete network architecture; every field is config-overridable."""
+    """Concrete network architecture. A run config's ``arch`` section can
+    override every field except ``kind``, which the agent fixes, and
+    ``head_gain``."""
 
     kind: str = "cnn"  # "cnn" | "mlp"
     conv_channels: tuple[int, ...] = (16, 32)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
-from shufflerl.data import MarketDataset, generate_synthetic_market, split_by_date
+from shufflerl.archive import dataset_fingerprint, load_archive
+from shufflerl.data import SYNTH_DRIFT, SYNTH_VOLATILITY, MarketDataset, generate_synthetic_market, split_by_date
 from shufflerl.env import EnvConfig
 from shufflerl.errors import ConfigError, DataError
 from shufflerl.nn import ArchSpec
@@ -140,8 +141,8 @@ def _parse_dataset(data) -> DatasetSpec:
         params.setdefault("seed", 0)
         params.setdefault("tickers", 30)
         params.setdefault("days", 500)
-        params.setdefault("drift", 0.0005)
-        params.setdefault("volatility", 0.01)
+        params.setdefault("drift", SYNTH_DRIFT)
+        params.setdefault("volatility", SYNTH_VOLATILITY)
         return DatasetSpec("synthetic", params)
     if source == "archive":
         params = _typed("dataset", data, _ARCHIVE_KEYS)
@@ -169,7 +170,7 @@ def _parse_agent(section: str, data) -> AgentSpec:
     kind = data.get("kind")
     if kind not in AGENT_KINDS:
         raise ConfigError(f"{section}.kind must be one of {AGENT_KINDS}, got {kind!r}")
-    extractor_kind = "mlp" if kind == "mlp" else "cnn"
+    extractor_kind = AgentSpec(kind=kind).extractor_kind
     arch = None
     if "arch" in data:
         if not isinstance(data["arch"], dict):
@@ -268,8 +269,6 @@ def load_run_config(path, require_comparison: bool = False) -> RunConfig:
 
 def materialize_dataset(spec: DatasetSpec) -> tuple[MarketDataset, str]:
     """Build or load the dataset and return it with its fingerprint."""
-    from shufflerl.archive import dataset_fingerprint, load_archive  # local: avoid cycle
-
     if spec.source == "archive":
         dataset, metadata = load_archive(spec.params["path"])
         return dataset, metadata["fingerprint"]

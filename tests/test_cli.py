@@ -1,7 +1,6 @@
 import csv
 import json
 import shutil
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -279,28 +278,16 @@ class TestCliTrain:
         runs = sorted(p.name for p in (tmp_path / "run" / "runs").iterdir())
         assert runs == ["mlp-seed5"]
 
-    def test_parallel_seed_workers_match_sequential(self, tmp_path, archive, monkeypatch):
-        agents = [MLP_AGENT, CNN_AGENT]
-        cfg_a = base_config(archive, out=tmp_path / "seq", agents=agents, seeds=(0, 1))
-        write_json(tmp_path / "a.json", cfg_a)
-        monkeypatch.delenv("SHUFFLERL_THREADS", raising=False)
-        assert main(["train", "--config", str(tmp_path / "a.json")]) == 0
-        cfg_b = base_config(archive, out=tmp_path / "par", agents=agents, seeds=(0, 1))
-        write_json(tmp_path / "b.json", cfg_b)
-        monkeypatch.setenv("SHUFFLERL_THREADS", "2")
-        assert main(["train", "--config", str(tmp_path / "b.json")]) == 0
-        for kind in ("mlp", "cnn"):
-            for seed in (0, 1):
-                rel = f"runs/{kind}-seed{seed}/curve.csv"
-                assert (tmp_path / "seq" / rel).read_bytes() == (tmp_path / "par" / rel).read_bytes()
-                rel = f"runs/{kind}-seed{seed}/checkpoint/params.bin"
-                assert (tmp_path / "seq" / rel).read_bytes() == (tmp_path / "par" / rel).read_bytes()
-
-    def test_bad_threads_env_rejected(self, tmp_path, archive, monkeypatch, capsys):
-        cfg_path = tmp_path / "cfg.json"
-        write_json(cfg_path, base_config(archive, out=tmp_path / "run", agent=MLP_AGENT))
-        monkeypatch.setenv("SHUFFLERL_THREADS", "lots")
-        assert main(["train", "--config", str(cfg_path)]) == 1
+    def test_each_run_matches_its_solo_run(self, tmp_path, archive):
+        # Runs that share one invocation must not leak state (a generator,
+        # BatchNorm statistics) into each other.
+        cfg = base_config(archive, out=tmp_path / "all", agents=[MLP_AGENT, CNN_AGENT], seeds=(0, 1))
+        write_json(tmp_path / "all.json", cfg)
+        assert main(["train", "--config", str(tmp_path / "all.json")]) == 0
+        write_json(tmp_path / "solo.json", base_config(archive, out=tmp_path / "solo", agent=CNN_AGENT))
+        assert main(["train", "--config", str(tmp_path / "solo.json"), "--seed", "1"]) == 0
+        for rel in ("runs/cnn-seed1/curve.csv", "runs/cnn-seed1/checkpoint/params.bin"):
+            assert (tmp_path / "all" / rel).read_bytes() == (tmp_path / "solo" / rel).read_bytes()
 
 
 class TestCliEvaluate:
@@ -480,22 +467,6 @@ class TestCliCompare:
         assert "reused" not in capsys.readouterr().out
         manifest = json.loads((tmp_path / "cmp" / "manifest.json").read_text())
         assert not any(run["reused"] for run in manifest["runs"])
-
-    def test_one_seed_agents_share_the_pool(self, tmp_path, archive, monkeypatch):
-        pool_sizes = []
-
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pool_sizes.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setenv("SHUFFLERL_THREADS", "2")
-        cfg = base_config(archive, out=tmp_path / "cmp", agents=[MLP_AGENT, CNN_AGENT])
-        path = tmp_path / "cmp.json"
-        write_json(path, cfg)
-        assert main(["compare", "--config", str(path)]) == 0
-        assert pool_sizes == [2]
 
     def test_fewer_than_two_agents(self, tmp_path, archive, capsys):
         cfg = base_config(archive, out=tmp_path / "cmp", agents=[MLP_AGENT])

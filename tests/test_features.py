@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -184,12 +183,6 @@ class TestApplyAndInvert:
         vec = rng.standard_normal(layout.total)
         out = apply_permutation(vec, ticker_block_permutation(layout))
         np.testing.assert_array_equal(np.sort(out), np.sort(vec))
-
-    def test_json_round_trip(self):
-        spec = ticker_block_permutation(FeatureLayout(3))
-        again = PermutationSpec.from_json(spec.to_json())
-        np.testing.assert_array_equal(again.perm, spec.perm)
-        assert json.loads(spec.to_json()) == spec.perm.tolist()
 
 
 class TestWindow:
