@@ -2,9 +2,13 @@
 metadata (tickers, date range, content fingerprint).
 
 The on-disk form is deliberately plain text so archives stay inspectable
-and diff-able. Loading re-runs the CSV parsers and the forward-fill
-alignment; on an already-dense archive the alignment is the identity, so a
-round trip reproduces the dataset exactly.
+and diff-able. ``prices.csv`` has one row per (day, ticker). Fundamentals
+are written as change rows, the sparse form ``ingest`` accepts: a row for
+every ticker on the first day, then a row only where a ticker's ratio
+vector changes. Loading re-runs the CSV parsers and the forward-fill
+alignment, which rebuilds the dense grid, so a round trip reproduces the
+dataset exactly. Archives written with a row for every (day, ticker) load
+the same way, and their recorded fingerprints still verify.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ import csv
 import hashlib
 import json
 from pathlib import Path
+
+import numpy as np
 
 from shufflerl.data import (
     RATIO_COLUMNS,
@@ -40,23 +46,33 @@ def save_archive(dataset: MarketDataset, directory) -> dict:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
+    days = [day.isoformat() for day in dataset.days]
+    tickers = dataset.tickers
+
+    # csv writes a float as its repr, so every value reads back exactly.
     prices_path = directory / PRICES_NAME
     with open(prices_path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["date", "ticker", "close"])
-        for di, day in enumerate(dataset.days):
-            for ti, ticker in enumerate(dataset.tickers):
-                writer.writerow([day.isoformat(), ticker, repr(float(dataset.close[di, ti]))])
+        writer.writerows(
+            [day, ticker, price]
+            for day, row in zip(days, dataset.close.tolist())
+            for ticker, price in zip(tickers, row)
+        )
 
+    # A ticker's ratios get a row on the first day and on each day they
+    # change. Bit patterns are compared so that 0.0 -> -0.0 counts as a change.
+    bits = dataset.ratios.view(np.int64)
+    changed = np.ones((dataset.n_days, len(tickers)), dtype=bool)
+    changed[1:] = np.any(bits[1:] != bits[:-1], axis=1)
     fundamentals_path = directory / FUNDAMENTALS_NAME
     with open(fundamentals_path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["date", "ticker", *RATIO_COLUMNS])
-        for di, day in enumerate(dataset.days):
-            for ti, ticker in enumerate(dataset.tickers):
-                row = [day.isoformat(), ticker]
-                row += [repr(float(v)) for v in dataset.ratios[di, :, ti]]
-                writer.writerow(row)
+        writer.writerows(
+            [days[di], tickers[ti], *dataset.ratios[di, :, ti].tolist()]
+            for di, ti in zip(*np.nonzero(changed))
+        )
 
     fingerprint = dataset_fingerprint(prices_path.read_bytes(), fundamentals_path.read_bytes())
     metadata = {

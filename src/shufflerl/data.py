@@ -14,6 +14,7 @@ exchange-calendar logic.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import date, timedelta
 
@@ -74,10 +75,17 @@ class FundamentalsTable:
 
     ratios: dict[tuple[date, str], np.ndarray]
 
+    def by_ticker(self) -> dict[str, list[tuple[date, np.ndarray]]]:
+        """Every ticker's observations, each list sorted by date."""
+        grouped: dict[str, list[tuple[date, np.ndarray]]] = {}
+        for (d, t), v in self.ratios.items():
+            grouped.setdefault(t, []).append((d, v))
+        for obs in grouped.values():
+            obs.sort(key=lambda pair: pair[0])
+        return grouped
+
     def observations_for(self, ticker: str) -> list[tuple[date, np.ndarray]]:
-        obs = [(d, v) for (d, t), v in self.ratios.items() if t == ticker]
-        obs.sort(key=lambda pair: pair[0])
-        return obs
+        return self.by_ticker().get(ticker, [])
 
 
 @dataclass(frozen=True)
@@ -148,7 +156,7 @@ def _parse_float(text: str, column: str, source: str, line: int) -> float:
         value = float(text)
     except ValueError:
         raise DataError(f"non-numeric value {text!r} in column {column!r}", source=source, line=line) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise DataError(f"non-finite value {text!r} in column {column!r}", source=source, line=line)
     return value
 
@@ -253,32 +261,28 @@ def align_forward_fill(prices: PriceTable, fundamentals: FundamentalsTable) -> M
             f"price grid incomplete: {len(missing_price)} missing (date, ticker) cells, first ({d}, {t})"
         )
 
-    per_ticker_obs: dict[str, list[tuple[date, np.ndarray]]] = {}
+    per_ticker_obs = fundamentals.by_ticker()
     for t in tickers:
-        obs = fundamentals.observations_for(t)
-        if not obs:
+        if t not in per_ticker_obs:
             raise DataError(f"ticker {t!r} has prices but no fundamentals")
-        per_ticker_obs[t] = obs
 
     # First day on which every ticker has at least one observation.
-    coverage_start = max(obs[0][0] for obs in per_ticker_obs.values())
+    coverage_start = max(per_ticker_obs[t][0][0] for t in tickers)
     kept_days = [d for d in days if d >= coverage_start]
     if not kept_days:
         raise DataError(
             f"no price day is covered by fundamentals (first full coverage at {coverage_start})"
         )
 
-    n, d_count = len(kept_days), len(tickers)
-    close = np.empty((n, d_count))
-    ratios = np.empty((n, RATIO_COUNT, d_count))
+    close = np.array([[prices.close[(day, t)] for t in tickers] for day in kept_days])
+    ratios = np.empty((len(kept_days), RATIO_COUNT, len(tickers)))
+    day_ordinals = [day.toordinal() for day in kept_days]
     for ti, t in enumerate(tickers):
         obs = per_ticker_obs[t]
-        cursor = -1
-        for di, day in enumerate(kept_days):
-            close[di, ti] = prices.close[(day, t)]
-            while cursor + 1 < len(obs) and obs[cursor + 1][0] <= day:
-                cursor += 1
-            ratios[di, :, ti] = obs[cursor][1]
+        # Index of the latest observation at or before each kept day; never
+        # -1, since every kept day is on or after this ticker's first one.
+        latest = np.searchsorted([d.toordinal() for d, _ in obs], day_ordinals, side="right") - 1
+        ratios[:, :, ti] = np.stack([v for _, v in obs])[latest]
     return MarketDataset(tuple(tickers), tuple(kept_days), close, ratios)
 
 

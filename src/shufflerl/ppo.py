@@ -378,6 +378,9 @@ def update(
             )
             grad_norms.append(clip_grad_norm(grads, config.max_grad_norm))
             optimizer.step(grads)
+            # Free this minibatch's gradients before the next forward pass
+            # allocates its activations.
+            del grads
             diagnostics.append(diag)
     keys = ("loss", "policy_loss", "value_loss", "entropy", "clip_fraction", "approx_kl")
     stats = {k: float(np.mean([getattr(d, k) for d in diagnostics])) for k in keys}

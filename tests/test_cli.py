@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -6,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import make_dataset
 from shufflerl import cli
 from shufflerl.archive import load_archive, save_archive
 from shufflerl.checkpoint import save_checkpoint
 from shufflerl.cli import main
-from shufflerl.data import generate_synthetic_market
+from shufflerl.data import RATIO_COLUMNS, RATIO_COUNT, generate_synthetic_market
 from shufflerl.errors import ConfigError, DataError
 from shufflerl.runconfig import parse_run_config, resolve_split
 
@@ -66,6 +68,60 @@ class TestArchive:
         np.testing.assert_array_equal(loaded.close, dataset.close)
         np.testing.assert_array_equal(loaded.ratios, dataset.ratios)
         assert loaded_meta["fingerprint"] == metadata["fingerprint"]
+
+    def test_change_rows_round_trip_bytes(self, tmp_path):
+        ratios = np.ones((8, RATIO_COUNT, 3))
+        ratios[3:6, :, 0] = 2.0  # T00 changes on day 3 and returns to 1.0 on day 6
+        ratios[:, :, 1] = 0.0
+        ratios[4:, 5, 1] = -0.0  # T01: 0.0 -> -0.0 on day 4, equal under ==
+        ratios[7, 0, 2] = 0.5  # T02 changes on the last day only
+        dataset = make_dataset(np.full((8, 3), 10.0), ratios)
+        save_archive(dataset, tmp_path / "a")
+        loaded, _ = load_archive(tmp_path / "a")
+        assert loaded.ratios.tobytes() == dataset.ratios.tobytes()
+        assert loaded.close.tobytes() == dataset.close.tobytes()
+        with open(tmp_path / "a" / "fundamentals.csv", newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        written = [(row[0], row[1]) for row in rows]
+        days = [day.isoformat() for day in dataset.days]
+        assert written == [
+            (days[0], "T00"), (days[0], "T01"), (days[0], "T02"),
+            (days[3], "T00"), (days[4], "T01"), (days[6], "T00"), (days[7], "T02"),
+        ]
+
+    def test_dense_archive_still_loads(self, tmp_path):
+        """An archive written with one fundamentals row per (day, ticker)
+        verifies its recorded fingerprint and loads to the same dataset."""
+        dataset = generate_synthetic_market(seed=7, tickers=3, days=70)
+        dense = tmp_path / "dense"
+        dense.mkdir()
+        with open(dense / "prices.csv", "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["date", "ticker", "close"])
+            for di, day in enumerate(dataset.days):
+                for ti, ticker in enumerate(dataset.tickers):
+                    writer.writerow([day.isoformat(), ticker, repr(float(dataset.close[di, ti]))])
+        with open(dense / "fundamentals.csv", "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["date", "ticker", *RATIO_COLUMNS])
+            for di, day in enumerate(dataset.days):
+                for ti, ticker in enumerate(dataset.tickers):
+                    writer.writerow([day.isoformat(), ticker, *(repr(float(v)) for v in dataset.ratios[di, :, ti])])
+        digest = hashlib.sha256((dense / "prices.csv").read_bytes() + (dense / "fundamentals.csv").read_bytes())
+        write_json(dense / "metadata.json", {"fingerprint": f"sha256:{digest.hexdigest()}"})
+        from_dense, _ = load_archive(dense)
+        save_archive(dataset, tmp_path / "sparse")
+        from_sparse, _ = load_archive(tmp_path / "sparse")
+        assert (dense / "prices.csv").read_bytes() == (tmp_path / "sparse" / "prices.csv").read_bytes()
+        assert from_dense.days == from_sparse.days
+        assert from_dense.close.tobytes() == from_sparse.close.tobytes()
+        assert from_dense.ratios.tobytes() == from_sparse.ratios.tobytes()
+
+    def test_synthetic_fundamentals_one_row_per_quarter(self, tmp_path):
+        # 130 days of 63-day quarters: quarters start on days 0, 63 and 126.
+        save_archive(generate_synthetic_market(seed=7, tickers=3, days=130), tmp_path / "a")
+        lines = (tmp_path / "a" / "fundamentals.csv").read_text().splitlines()
+        assert len(lines) - 1 == 3 * 3
 
     def test_fingerprint_reproducible(self, tmp_path):
         dataset = generate_synthetic_market(seed=7, tickers=2, days=30)

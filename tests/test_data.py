@@ -200,6 +200,25 @@ class TestAlignForwardFill:
         for di in range(5):
             assert np.all(once.ratios[di] == float(di + 1))
 
+    def test_staggered_reports_match_reference(self, tmp_path):
+        tickers = ("AXP", "GS", "KO")
+        prices = self._prices(tmp_path, tickers=tickers, days=9)
+        reports = {  # day of month -> value; GS reports before the first price day
+            "AXP": {1: 1.0, 4: 2.0, 5: -0.0, 8: 1.0},
+            "GS": {1: 3.0, 6: 4.0},
+            "KO": {1: 5.0, 2: 6.0, 3: 7.0, 9: 8.0},
+        }
+        rows = [("2014-12-31", "GS", *ratio_cells(9.0))]
+        rows += [(f"2015-01-0{d}", t, *ratio_cells(v)) for t in tickers for d, v in reports[t].items()]
+        path = tmp_path / "f.csv"
+        write_fundamentals(path, rows)
+        dataset = align_forward_fill(prices, load_fundamentals(path))
+        expected = np.empty((9, 15, 3))
+        for ti, t in enumerate(tickers):
+            for di in range(9):
+                expected[di, :, ti] = reports[t][max(d for d in reports[t] if d <= di + 1)]
+        assert dataset.ratios.tobytes() == expected.tobytes()
+
 
 class TestSyntheticMarket:
     def test_degenerate_walk(self):
