@@ -33,6 +33,7 @@ from shufflerl.env import EnvConfig
 from shufflerl.errors import ConfigError, DataError, ShuffleRlError
 from shufflerl.metrics import compare_runs, metrics_report, write_aligned_curves_csv
 from shufflerl.ppo import (
+    AGENT_KINDS,
     AgentSpec,
     TrainResult,
     evaluate,
@@ -374,9 +375,7 @@ def build_parser() -> _Parser:
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--out", help="output directory (overrides config)")
     p_train.add_argument("--seed", type=int, help="train this single seed instead of the config list")
-    p_train.add_argument(
-        "--agent", choices=["mlp", "cnn", "cnn-shuffled"], help="agent kind (overrides config)"
-    )
+    p_train.add_argument("--agent", choices=AGENT_KINDS, help="agent kind (overrides config)")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("evaluate", help="evaluate a checkpoint on a dataset archive")

@@ -84,9 +84,6 @@ class FundamentalsTable:
             obs.sort(key=lambda pair: pair[0])
         return grouped
 
-    def observations_for(self, ticker: str) -> list[tuple[date, np.ndarray]]:
-        return self.by_ticker().get(ticker, [])
-
 
 @dataclass(frozen=True)
 class MarketDataset:
@@ -317,7 +314,10 @@ def generate_synthetic_market(
     if volatility < 0:
         raise DataError(f"volatility must be >= 0, got {volatility}")
     rng = np.random.default_rng(seed)
-    names = tuple(f"SYN{i:02d}" for i in range(tickers))
+    # Zero-padded to one width so that names sort in index order, as
+    # `load_prices` sorts them.
+    width = max(2, len(str(tickers - 1)))
+    names = tuple(f"SYN{i:0{width}d}" for i in range(tickers))
     calendar = tuple(_weekdays_from(date(2015, 1, 5), days))
 
     close = np.empty((days, tickers))

@@ -43,10 +43,6 @@ class FeatureLayout:
     def total(self) -> int:
         return 1 + 2 * self.ticker_count + self.ratio_count * self.ticker_count
 
-    @property
-    def balance_index(self) -> int:
-        return 0
-
     def price_index(self, ticker: int) -> int:
         return 1 + ticker
 

@@ -5,7 +5,8 @@ normalization and ReLU, flatten, one linear projection), so every layer
 carries its own hand-written backward instead of a general autodiff graph.
 A network computes in the dtype it is built with: float64 by default, which
 the finite-difference gradient checks need, or float32, which training uses.
-Any NaN or Inf produced by a layer raises immediately, naming the layer.
+A NaN or Inf in a layer's forward output raises at once, naming the layer;
+gradients are checked once per step, by ``ppo.clip_grad_norm``.
 
 Conventions that silently diverge between implementations, pinned here:
 valid (no-padding) cross-correlation with ``out = floor((in - k)/stride) + 1``;
@@ -116,12 +117,7 @@ class Conv2d:
                         dx[i, :, u : u + sh * oh : sh, v : v + sw * ow : sw] += dcols[:, v]
         dweight = dweight.reshape(self.weight.shape)
         dbias = dout_mat.sum(axis=(0, 2))
-        grads = {f"{self.name}.weight": dweight, f"{self.name}.bias": dbias}
-        _check_finite(f"{self.name}.backward", dweight, dbias)
-        if not need_dx:
-            return None, grads
-        _check_finite(f"{self.name}.backward", dx)
-        return dx, grads
+        return dx, {f"{self.name}.weight": dweight, f"{self.name}.bias": dbias}
 
 
 class BatchNorm2d:
@@ -200,7 +196,6 @@ class BatchNorm2d:
         dx -= dbeta.reshape(shape)
         dx -= scratch
         dx *= (self.gamma * inv_std / n).reshape(shape)
-        _check_finite(f"{self.name}.backward", dx, dgamma, dbeta)
         return dx, {f"{self.name}.gamma": dgamma, f"{self.name}.beta": dbeta}
 
 
@@ -262,14 +257,8 @@ class Linear:
 
     def backward(self, cache, dout: np.ndarray, need_dx: bool = True):
         x = cache
-        dweight = dout.T @ x
-        dbias = dout.sum(axis=0)
-        grads = {f"{self.name}.weight": dweight, f"{self.name}.bias": dbias}
-        _check_finite(f"{self.name}.backward", dweight, dbias)
-        if not need_dx:
-            return None, grads
-        dx = dout @ self.weight
-        _check_finite(f"{self.name}.backward", dx)
+        grads = {f"{self.name}.weight": dout.T @ x, f"{self.name}.bias": dout.sum(axis=0)}
+        dx = dout @ self.weight if need_dx else None
         return dx, grads
 
 

@@ -48,10 +48,20 @@ class PpoConfig:
             raise ShuffleRlError(f"gamma must be in [0, 1], got {self.gamma}")
         if not 0.0 <= self.gae_lambda <= 1.0:
             raise ShuffleRlError(f"gae_lambda must be in [0, 1], got {self.gae_lambda}")
-        if self.clip_epsilon <= 0:
+        # Written as `not (x > 0)` so that NaN, which JSON configs can hold,
+        # fails too.
+        if not self.clip_epsilon > 0:
             raise ShuffleRlError(f"clip_epsilon must be > 0, got {self.clip_epsilon}")
         if min(self.rollout_length, self.minibatch_size, self.epochs_per_update) < 1:
             raise ShuffleRlError("rollout_length, minibatch_size, epochs_per_update must be >= 1")
+        if not self.learning_rate > 0:
+            raise ShuffleRlError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not self.max_grad_norm > 0:
+            raise ShuffleRlError(f"max_grad_norm must be > 0, got {self.max_grad_norm}")
+        if not self.value_coef >= 0:
+            raise ShuffleRlError(f"value_coef must be >= 0, got {self.value_coef}")
+        if self.total_timesteps < 0:
+            raise ShuffleRlError(f"total_timesteps must be >= 0, got {self.total_timesteps}")
 
 
 AGENT_KINDS = ("mlp", "cnn", "cnn-shuffled")
@@ -199,16 +209,6 @@ class LossDiagnostics:
     clip_fraction: float
     approx_kl: float
 
-    def to_dict(self) -> dict:
-        return {
-            "loss": self.loss,
-            "policy_loss": self.policy_loss,
-            "value_loss": self.value_loss,
-            "entropy": self.entropy,
-            "clip_fraction": self.clip_fraction,
-            "approx_kl": self.approx_kl,
-        }
-
 
 def ppo_loss_and_grads(
     net: ActorCritic,
@@ -330,8 +330,17 @@ class Adam:
 
 
 def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``."""
+    """Scale all gradients so their global L2 norm is at most ``max_norm``.
+
+    This is the step's one finiteness check on the gradients: a squared entry
+    is never negative, so any NaN or Inf makes the norm non-finite, and
+    ``NonFiniteError`` names the tensors that hold one before anything is
+    scaled or stepped.
+    """
     total = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
+    if not math.isfinite(total):
+        bad = [name for name, g in grads.items() if not np.all(np.isfinite(g))]
+        raise NonFiniteError("gradients", ", ".join(bad) or "sum of squares overflowed")
     if total > max_norm:
         scale = max_norm / (total + 1e-6)
         for g in grads.values():

@@ -69,6 +69,18 @@ class TestArchive:
         np.testing.assert_array_equal(loaded.ratios, dataset.ratios)
         assert loaded_meta["fingerprint"] == metadata["fingerprint"]
 
+    def test_round_trip_keeps_order_past_100_tickers(self, tmp_path):
+        # Loading sorts ticker names, so they must sort in index order.
+        dataset = generate_synthetic_market(seed=7, tickers=101, days=5)
+        save_archive(dataset, tmp_path / "a")
+        loaded, _ = load_archive(tmp_path / "a")
+        assert loaded.tickers == dataset.tickers
+        assert loaded.close.tobytes() == dataset.close.tobytes()
+        assert loaded.ratios.tobytes() == dataset.ratios.tobytes()
+        # Markets of up to 100 tickers keep their two-digit names.
+        assert (dataset.tickers[0], dataset.tickers[-1]) == ("SYN000", "SYN100")
+        assert generate_synthetic_market(seed=7, tickers=100, days=2).tickers[-1] == "SYN99"
+
     def test_change_rows_round_trip_bytes(self, tmp_path):
         ratios = np.ones((8, RATIO_COUNT, 3))
         ratios[3:6, :, 0] = 2.0  # T00 changes on day 3 and returns to 1.0 on day 6

@@ -95,7 +95,7 @@ class TestLoadFundamentals:
         ])
         table = load_fundamentals(path)
         assert len(table.ratios) == 2
-        obs = table.observations_for("AXP")
+        obs = table.by_ticker()["AXP"]
         assert obs[0][0] == date(2015, 1, 2)
         np.testing.assert_array_equal(obs[1][1], np.full(15, 2.0))
 

@@ -9,7 +9,7 @@ from conftest import make_dataset
 from shufflerl import ppo
 from shufflerl.data import generate_synthetic_market
 from shufflerl.env import EnvConfig, TradingEnv
-from shufflerl.errors import ShuffleRlError
+from shufflerl.errors import ConfigError, NonFiniteError, ShuffleRlError
 from shufflerl.nn import ActorCritic, ArchSpec, grad_check
 from shufflerl.ppo import (
     _ADAM_CHUNK,
@@ -29,6 +29,7 @@ from shufflerl.ppo import (
     train_on_env,
     update,
 )
+from shufflerl.runconfig import parse_run_config
 
 MLP_ARCH = ArchSpec(kind="mlp", mlp_hidden=(8, 8))
 TOY_CNN_ARCH = ArchSpec(kind="cnn", conv_channels=(2, 2), conv_kernels=((2, 4), (2, 4)),
@@ -111,6 +112,17 @@ class TestConfig:
             PpoConfig(gamma=1.5)
         with pytest.raises(ShuffleRlError):
             PpoConfig(clip_epsilon=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", -3e-4), ("learning_rate", 0.0), ("learning_rate", math.nan), ("max_grad_norm", -0.5),
+        ("max_grad_norm", 0.0), ("max_grad_norm", math.nan), ("value_coef", -0.5), ("value_coef", math.nan),
+        ("clip_epsilon", math.nan), ("total_timesteps", -1),
+    ])
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ShuffleRlError, match=field):
+            PpoConfig(**{field: value})
+        with pytest.raises(ConfigError, match=f"^ppo: {field} must be"):
+            parse_run_config({"dataset": {"source": "synthetic"}, "ppo": {field: value}})
 
     def test_agent_spec_layouts(self):
         # The permutation is the only layout switch; None is the canonical layout.
@@ -331,6 +343,20 @@ class TestOptimizer:
         clip_grad_norm(grads2, max_norm=1.0)
         np.testing.assert_array_equal(grads2["a"], [0.3, 0.4])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_clip_grad_norm_names_non_finite_tensors(self, bad):
+        grads = {"a": np.array([3.0, 4.0]), "b": np.array([1.0, bad]), "c": np.zeros(3), "d": np.array([-bad])}
+        before = {name: g.tobytes() for name, g in grads.items()}
+        with pytest.raises(NonFiniteError) as info:
+            clip_grad_norm(grads, max_norm=1.0)
+        assert str(info.value) == "non-finite values in gradients (b, d)"
+        assert {name: g.tobytes() for name, g in grads.items()} == before
+
+    def test_clip_grad_norm_overflow_without_bad_entry(self):
+        grads = {"a": np.array([1e30], dtype=np.float32)}
+        with pytest.raises(NonFiniteError, match="sum of squares overflowed"):
+            clip_grad_norm(grads, max_norm=1.0)
+
     def _filled_buffer(self, net, length=32, seed=0):
         rng = np.random.default_rng(seed)
         buf = RolloutBuffer(length, net.obs_shape, net.action_dim)
@@ -385,6 +411,47 @@ class TestOptimizer:
         opt = Adam(net.named_parameters(), cfg.learning_rate)
         update(net, opt, buf, cfg, np.random.default_rng(6))
         assert batch_loss() < before
+
+    def _non_finite_update(self, net):
+        """Run a two-minibatch update that must raise on its first gradients,
+        check that no parameter, Adam moment or step count moved, and return
+        the names of the tensors the error reports."""
+        buf = self._filled_buffer(net, seed=2)
+        opt = Adam(net.named_parameters(), 1e-3)
+
+        def state():
+            return ({name: p.tobytes() for name, p in net.named_parameters()},
+                    {name: m.tobytes() for name, m in opt.m.items()},
+                    {name: v.tobytes() for name, v in opt.v.items()})
+
+        before = state()
+        with pytest.raises(NonFiniteError, match=r"^non-finite values in gradients \(") as info:
+            update(net, opt, buf, PpoConfig(minibatch_size=16, epochs_per_update=1), np.random.default_rng(3))
+        assert opt.t == 0
+        assert state() == before
+        return str(info.value).split("(", 1)[1].rstrip(")").split(", ")
+
+    def test_update_stops_on_non_finite_log_std_gradient(self):
+        # No layer computes the log_std gradient, so only the norm sees it.
+        net = ActorCritic(TOY_CNN_ARCH, (5, 35), 2, seed=1, dtype=np.float32)
+        net.log_std_grad_mask = lambda: np.full(net.action_dim, np.inf)
+        assert self._non_finite_update(net) == ["log_std"]
+
+    def test_update_stops_on_non_finite_inner_input_gradient(self):
+        # A NaN in an inner layer's input gradient reaches every parameter
+        # gradient below it.
+        net = ActorCritic(TOY_CNN_ARCH, (5, 35), 2, seed=1, dtype=np.float32)
+        bn2 = next(layer for layer in net.extractor.layers if layer.name == "bn2")
+        bn2_backward = bn2.backward
+
+        def nan_dx_backward(cache, dout):
+            dx, grads = bn2_backward(cache, dout)
+            dx[0, 0, 0, 0] = np.nan
+            return dx, grads
+
+        bn2.backward = nan_dx_backward
+        below_bn2 = {"conv1.weight", "conv1.bias", "bn1.gamma", "bn1.beta", "conv2.weight", "conv2.bias"}
+        assert set(self._non_finite_update(net)) == below_bn2
 
 
 class TestTrainLoop:
