@@ -45,6 +45,7 @@ from shufflerl.runconfig import (
     SplitSpec,
     load_run_config,
     materialize_dataset,
+    parse_env_config,
     resolve_split,
 )
 
@@ -284,8 +285,7 @@ def cmd_evaluate(args) -> int:
             )
         part = dataset
 
-    env_fields = metadata.get("env", {})
-    base_env = EnvConfig(**env_fields) if env_fields else EnvConfig()
+    base_env = parse_env_config("checkpoint env", metadata.get("env", {}))
     agent = AgentSpec(kind=metadata.get("agent_kind", "cnn"))
     env_config = make_env_config(base_env, agent, part.ticker_count)
 

@@ -16,12 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from shufflerl.data import MarketDataset, compute_turbulence
-from shufflerl.errors import (
-    DataError,
-    EpisodeDoneError,
-    InsufficientHistoryError,
-    ShuffleRlError,
-)
+from shufflerl.errors import EpisodeDoneError, InsufficientHistoryError, ShuffleRlError
 from shufflerl.features import (
     FeatureLayout,
     PermutationSpec,
@@ -49,12 +44,19 @@ class EnvConfig:
     turbulence_lookback: int | None = 252
 
     def __post_init__(self):
-        if min(self.initial_balance, self.hmax, self.reward_scale, self.balance_scale) <= 0:
-            raise ShuffleRlError("initial_balance, hmax, and scales must be positive")
+        # Written as `not (x > 0)` so that NaN, which JSON configs can hold,
+        # fails too.
+        for name in ("initial_balance", "reward_scale", "balance_scale"):
+            if not getattr(self, name) > 0:
+                raise ShuffleRlError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.hmax < 1:
+            raise ShuffleRlError(f"hmax must be >= 1, got {self.hmax}")
         if not 0 <= self.cost_rate < 1:
             raise ShuffleRlError(f"cost_rate must be in [0, 1), got {self.cost_rate}")
         if self.window_length < 1:
             raise ShuffleRlError(f"window_length must be >= 1, got {self.window_length}")
+        if self.turbulence_lookback is not None and self.turbulence_lookback < 1:
+            raise ShuffleRlError(f"turbulence_lookback must be None or >= 1, got {self.turbulence_lookback}")
 
 
 @dataclass(frozen=True)
@@ -204,8 +206,9 @@ class TradingEnv:
             return np.full(self.dataset.n_days, np.nan)
         try:
             return compute_turbulence(self.dataset, lookback).values
-        except (DataError, InsufficientHistoryError):
-            # Monitoring only: short datasets log NaN instead of failing.
+        except InsufficientHistoryError:
+            # Monitoring only: short datasets log NaN instead of failing. A
+            # lookback too small for the ticker count raises a DataError.
             return np.full(self.dataset.n_days, np.nan)
 
     def _day_vector(self, day: int) -> np.ndarray:

@@ -17,7 +17,7 @@ variance into the running estimate ``running = (1 - m)*running + m*batch``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -333,33 +333,29 @@ class ArchSpec:
             raise ShuffleRlError(f"unknown extractor kind {self.kind!r}")
         if not len(self.conv_channels) == len(self.conv_kernels) == len(self.conv_strides):
             raise ShuffleRlError("conv_channels, conv_kernels, conv_strides must have equal length")
+        if min((*self.conv_channels, self.embed_dim, *self.mlp_hidden)) < 1:
+            raise ShuffleRlError("conv_channels, embed_dim and mlp_hidden entries must be >= 1")
+        if any(n < 1 for pair in (*self.conv_kernels, *self.conv_strides) for n in pair):
+            raise ShuffleRlError("conv_kernels and conv_strides entries must be >= 1")
+        low, high = self.log_std_bounds
+        # `not low < high` also rejects NaN, which JSON configs can hold.
+        if not low < high:
+            raise ShuffleRlError(f"log_std_bounds must have low < high, got {self.log_std_bounds}")
+        if not math.isfinite(self.log_std_init):
+            raise ShuffleRlError(f"log_std_init must be finite, got {self.log_std_init}")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "conv_channels": list(self.conv_channels),
-            "conv_kernels": [list(k) for k in self.conv_kernels],
-            "conv_strides": [list(s) for s in self.conv_strides],
-            "embed_dim": self.embed_dim,
-            "mlp_hidden": list(self.mlp_hidden),
-            "log_std_init": self.log_std_init,
-            "log_std_bounds": list(self.log_std_bounds),
-            "head_gain": self.head_gain,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ArchSpec":
-        return cls(
-            kind=data["kind"],
-            conv_channels=tuple(data["conv_channels"]),
-            conv_kernels=tuple(tuple(k) for k in data["conv_kernels"]),
-            conv_strides=tuple(tuple(s) for s in data["conv_strides"]),
-            embed_dim=data["embed_dim"],
-            mlp_hidden=tuple(data["mlp_hidden"]),
-            log_std_init=data["log_std_init"],
-            log_std_bounds=tuple(data["log_std_bounds"]),
-            head_gain=data.get("head_gain", 0.01),
-        )
+        """Inverse of ``to_dict`` after a JSON round trip, which turns tuples
+        into lists; a missing ``head_gain`` takes the default."""
+
+        def frozen(value):
+            return tuple(frozen(v) for v in value) if isinstance(value, list) else value
+
+        return cls(**{key: frozen(value) for key, value in data.items()})
 
 
 def _kaiming(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:

@@ -1,58 +1,41 @@
 """Run configuration: strict JSON schema with explicit defaults.
 
-Unknown keys are rejected (with a did-you-mean hint) rather than ignored,
-and the fully resolved configuration is dumped into every run manifest so
-a manifest alone reproduces a run.
+The keys and value types of the env, ppo and arch sections are the fields
+of ``EnvConfig``, ``PpoConfig`` and ``ArchSpec``. Unknown keys are rejected
+(with a did-you-mean hint) rather than ignored, and the fully resolved
+configuration is dumped into every run manifest so a manifest alone
+reproduces a run.
 """
 
 from __future__ import annotations
 
 import difflib
 import json
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import dataclass, fields as dataclass_fields
 from datetime import date
 from pathlib import Path
 
 from shufflerl.archive import dataset_fingerprint, load_archive
 from shufflerl.data import SYNTH_DRIFT, SYNTH_VOLATILITY, MarketDataset, generate_synthetic_market, split_by_date
 from shufflerl.env import EnvConfig
-from shufflerl.errors import ConfigError, DataError
+from shufflerl.errors import ConfigError, DataError, ShuffleRlError
 from shufflerl.nn import ArchSpec
 from shufflerl.ppo import AGENT_KINDS, AgentSpec, PpoConfig
 
-_ENV_KEYS = {
-    "initial_balance": float,
-    "hmax": int,
-    "cost_rate": float,
-    "reward_scale": float,
-    "balance_scale": float,
-    "window_length": int,
-    "turbulence_lookback": (int, type(None)),
-}
 
-_PPO_KEYS = {
-    "gamma": float,
-    "gae_lambda": float,
-    "clip_epsilon": float,
-    "learning_rate": float,
-    "rollout_length": int,
-    "minibatch_size": int,
-    "epochs_per_update": int,
-    "value_coef": float,
-    "entropy_coef": float,
-    "max_grad_norm": float,
-    "total_timesteps": int,
-}
+def _fields(cls, *excluded: str) -> dict:
+    """A config dataclass's fields, minus ``excluded``, mapped to their type hints."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclass_fields(cls) if f.name not in excluded}
 
-_ARCH_KEYS = {
-    "conv_channels": list,
-    "conv_kernels": list,
-    "conv_strides": list,
-    "embed_dim": int,
-    "mlp_hidden": list,
-    "log_std_init": float,
-    "log_std_bounds": list,
-}
+
+# The permutation is derived from the agent, the seed comes from `seeds`, the
+# kind from the agent, and head_gain is fixed.
+_ENV_KEYS = _fields(EnvConfig, "permutation")
+_PPO_KEYS = _fields(PpoConfig, "seed")
+_ARCH_KEYS = _fields(ArchSpec, "kind", "head_gain")
 
 _SYNTH_KEYS = {"source": str, "seed": int, "tickers": int, "days": int, "drift": float, "volatility": float}
 _ARCHIVE_KEYS = {"source": str, "path": str}
@@ -68,20 +51,51 @@ def _reject_unknown(section: str, data: dict, allowed) -> None:
             raise ConfigError(f"unknown key {key!r} in {section}{suffix}")
 
 
+def _value(where: str, value, hint):
+    """``value`` read as type ``hint``: an int passes as a float but a bool
+    never as an int, ``X | None`` also takes null, and a ``tuple[...]`` takes
+    a list of the right length, checked entry by entry and returned as a tuple."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        (hint,) = [arg for arg in args if arg is not type(None)]
+        return _value(where, value, hint)
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected list, got {type(value).__name__}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{where}: expected {len(args)} entries, got {len(value)}")
+        return tuple(_value(f"{where}[{i}]", v, arg) for i, (v, arg) in enumerate(zip(value, args)))
+    if hint is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    if isinstance(value, bool) and hint is not bool or not isinstance(value, hint):
+        raise ConfigError(f"{where}: expected {hint.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _typed(section: str, data: dict, schema: dict) -> dict:
     _reject_unknown(section, data, schema)
-    out = {}
-    for key, value in data.items():
-        expected = schema[key]
-        if expected is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-        if expected is int and isinstance(value, bool):
-            raise ConfigError(f"{section}.{key}: expected int, got bool")
-        if not isinstance(value, expected):
-            name = getattr(expected, "__name__", str(expected))
-            raise ConfigError(f"{section}.{key}: expected {name}, got {type(value).__name__}")
-        out[key] = value
-    return out
+    return {key: _value(f"{section}.{key}", value, schema[key]) for key, value in data.items()}
+
+
+def _build(section: str, cls, data, schema: dict, **fixed):
+    """``cls`` built from a JSON object typed by ``schema``; a value its own
+    checks reject is a config error."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{section} must be an object")
+    values = _typed(section, data, schema)
+    try:
+        return cls(**fixed, **values)
+    except ShuffleRlError as exc:
+        raise ConfigError(f"{section}: {exc}") from None
+
+
+def parse_env_config(section: str, data) -> EnvConfig:
+    """An env section, such as a checkpoint's, checked as in a run config."""
+    return _build(section, EnvConfig, data, _ENV_KEYS)
 
 
 @dataclass(frozen=True)
@@ -116,12 +130,10 @@ class RunConfig:
 
     def resolved_dict(self) -> dict:
         """Full configuration with every default made explicit."""
-        env = {key: getattr(self.env, key) for key in _ENV_KEYS}
-        ppo = {key: getattr(self.ppo, key) for key in _PPO_KEYS}
         return {
             "dataset": self.dataset.to_dict(),
-            "env": env,
-            "ppo": ppo,
+            "env": {key: getattr(self.env, key) for key in _ENV_KEYS},
+            "ppo": {key: getattr(self.ppo, key) for key in _PPO_KEYS},
             "agents": [
                 {"kind": agent.kind, "arch": agent.resolve_arch().to_dict()} for agent in self.agents
             ],
@@ -153,16 +165,6 @@ def _parse_dataset(data) -> DatasetSpec:
     raise ConfigError(f"dataset.source must be 'synthetic' or 'archive', got {source!r}")
 
 
-def _parse_arch(section: str, data: dict, extractor_kind: str) -> ArchSpec:
-    fields = _typed(section, data, _ARCH_KEYS)
-    base = ArchSpec(kind=extractor_kind).to_dict()
-    base.update(fields)
-    try:
-        return ArchSpec.from_dict({**base, "kind": extractor_kind})
-    except Exception as exc:
-        raise ConfigError(f"{section}: {exc}") from None
-
-
 def _parse_agent(section: str, data) -> AgentSpec:
     if not isinstance(data, dict):
         raise ConfigError(f"{section} must be an object")
@@ -173,9 +175,7 @@ def _parse_agent(section: str, data) -> AgentSpec:
     extractor_kind = AgentSpec(kind=kind).extractor_kind
     arch = None
     if "arch" in data:
-        if not isinstance(data["arch"], dict):
-            raise ConfigError(f"{section}.arch must be an object")
-        arch = _parse_arch(f"{section}.arch", data["arch"], extractor_kind)
+        arch = _build(f"{section}.arch", ArchSpec, data["arch"], _ARCH_KEYS, kind=extractor_kind)
     return AgentSpec(kind=kind, arch=arch)
 
 
@@ -205,17 +205,8 @@ def parse_run_config(data: dict, require_comparison: bool = False) -> RunConfig:
         raise ConfigError("run config needs a 'dataset' section")
     dataset = _parse_dataset(data["dataset"])
 
-    env_fields = _typed("env", data.get("env", {}), _ENV_KEYS) if "env" in data else {}
-    try:
-        env = EnvConfig(**env_fields)
-    except Exception as exc:
-        raise ConfigError(f"env: {exc}") from None
-
-    ppo_fields = _typed("ppo", data.get("ppo", {}), _PPO_KEYS) if "ppo" in data else {}
-    try:
-        ppo = PpoConfig(**ppo_fields)
-    except Exception as exc:
-        raise ConfigError(f"ppo: {exc}") from None
+    env = parse_env_config("env", data.get("env", {}))
+    ppo = _build("ppo", PpoConfig, data.get("ppo", {}), _PPO_KEYS)
 
     if "agent" in data and "agents" in data:
         raise ConfigError("give either 'agent' or 'agents', not both")
@@ -272,13 +263,7 @@ def materialize_dataset(spec: DatasetSpec) -> tuple[MarketDataset, str]:
     if spec.source == "archive":
         dataset, metadata = load_archive(spec.params["path"])
         return dataset, metadata["fingerprint"]
-    dataset = generate_synthetic_market(
-        seed=spec.params["seed"],
-        tickers=spec.params["tickers"],
-        days=spec.params["days"],
-        drift=spec.params["drift"],
-        volatility=spec.params["volatility"],
-    )
+    dataset = generate_synthetic_market(**spec.params)
     # Synthetic data is fully determined by its parameters.
     blob = json.dumps(spec.to_dict(), sort_keys=True).encode()
     return dataset, dataset_fingerprint(blob, b"")

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import hashlib
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -13,7 +15,9 @@ from shufflerl.archive import load_archive, save_archive
 from shufflerl.checkpoint import save_checkpoint
 from shufflerl.cli import main
 from shufflerl.data import RATIO_COLUMNS, RATIO_COUNT, generate_synthetic_market
+from shufflerl.env import EnvConfig
 from shufflerl.errors import ConfigError, DataError
+from shufflerl.ppo import PpoConfig
 from shufflerl.runconfig import parse_run_config, resolve_split
 
 
@@ -162,6 +166,45 @@ class TestRunConfig:
         assert resolved["env"]["hmax"] == 100
         assert resolved["seeds"] == [0]
         assert config.agents[0].kind == "mlp"
+
+    def test_resolved_keys_are_the_dataclass_fields(self, archive):
+        resolved = parse_run_config(base_config(archive, agent=MLP_AGENT)).resolved_dict()
+        env_fields = {f.name for f in dataclasses.fields(EnvConfig)} - {"permutation"}
+        ppo_fields = {f.name for f in dataclasses.fields(PpoConfig)} - {"seed"}
+        assert set(resolved["env"]) == env_fields
+        assert set(resolved["ppo"]) == ppo_fields
+
+    def test_list_entries_read_as_their_types(self, archive):
+        agent = {**CNN_AGENT, "arch": {**CNN_AGENT["arch"], "log_std_bounds": [-3, 1]}}
+        arch = parse_run_config(base_config(archive, agent=agent)).agents[0].arch
+        assert arch.conv_kernels == ((2, 4), (2, 4))
+        assert [type(b) for b in arch.log_std_bounds] == [float, float]
+        hash(arch)
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("env", "hmax", True, r"^env\.hmax: expected int, got bool"),
+        ("env", "turbulence_lookback", True, r"^env\.turbulence_lookback: expected int, got bool"),
+        ("env", "turbulence_lookback", 0, r"^env: turbulence_lookback must be None or >= 1"),
+        ("env", "window_length", 4.0, r"^env\.window_length: expected int, got float"),
+        ("env", "reward_scale", math.nan, r"^env: reward_scale must be > 0"),
+        ("env", "initial_balance", math.nan, r"^env: initial_balance must be > 0"),
+        ("env", "balance_scale", math.nan, r"^env: balance_scale must be > 0"),
+        ("ppo", "minibatch_size", False, r"^ppo\.minibatch_size: expected int, got bool"),
+        ("arch", "conv_kernels", [[8], [4, 4]], r"^agent\.arch\.conv_kernels\[0\]: expected 2 entries, got 1"),
+        ("arch", "conv_channels", [4.5, 8], r"^agent\.arch\.conv_channels\[0\]: expected int, got float"),
+        ("arch", "conv_strides", [4, 2], r"^agent\.arch\.conv_strides\[0\]: expected list, got int"),
+        ("arch", "mlp_hidden", 256, r"^agent\.arch\.mlp_hidden: expected list, got int"),
+        ("arch", "log_std_bounds", [-5.0, 2.0, 3.0], r"^agent\.arch\.log_std_bounds: expected 2 entries"),
+        ("arch", "log_std_bounds", [2.0, -5.0], r"^agent\.arch: log_std_bounds must have low < high"),
+        ("arch", "embed_dim", 0, r"^agent\.arch: conv_channels, embed_dim and mlp_hidden entries must be >= 1"),
+        ("arch", "mlp_hidden", [-4], r"^agent\.arch: conv_channels, embed_dim and mlp_hidden entries"),
+        ("arch", "log_std_init", math.nan, r"^agent\.arch: log_std_init must be finite"),
+    ])
+    def test_bad_value_rejected(self, archive, section, key, value, message):
+        data = base_config(archive, agent={"kind": "cnn", "arch": {}})
+        (data["agent"] if section == "arch" else data)[section][key] = value
+        with pytest.raises(ConfigError, match=message):
+            parse_run_config(json.loads(json.dumps(data)))
 
     def test_unknown_key_suggestion(self, archive):
         data = base_config(archive, agent=MLP_AGENT)
@@ -405,6 +448,22 @@ class TestCliEvaluate:
         assert first.replace("e1", "") == second.replace("e2", "")
         assert (tmp_path / "e1" / "trace.csv").read_bytes() == (tmp_path / "e2" / "trace.csv").read_bytes()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("windw_length", 4, "unknown key 'windw_length' in checkpoint env; did you mean 'window_length'?"),
+        ("hmax", "100", "checkpoint env.hmax: expected int, got str"),
+        ("reward_scale", -1.0, "checkpoint env: reward_scale must be > 0"),
+    ])
+    def test_bad_checkpoint_env_is_config_error(self, tmp_path, archive, capsys, key, value, message):
+        ckpt = self._train(tmp_path, archive)
+        manifest_path = ckpt / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["metadata"]["env"][key] = value
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        rc = main(["evaluate", "--checkpoint", str(ckpt), "--dataset", str(archive),
+                   "--split", "train", "--out", str(tmp_path / "eval")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+
     def test_window_mismatch_is_runtime_error(self, tmp_path, archive, capsys):
         ckpt = self._train(tmp_path, archive)
         manifest_path = ckpt / "manifest.json"
@@ -542,6 +601,15 @@ class TestCliCompare:
         write_json(path, cfg)
         assert main(["compare", "--config", str(path)]) == 1
 
+
+    def test_mistyped_arch_fails_before_any_run(self, tmp_path, archive, capsys):
+        bad_cnn = {**CNN_AGENT, "arch": {**CNN_AGENT["arch"], "conv_channels": [4.5, 8]}}
+        cfg = base_config(archive, out=tmp_path / "cmp", agents=[MLP_AGENT, bad_cnn])
+        path = tmp_path / "cmp.json"
+        write_json(path, cfg)
+        assert main(["compare", "--config", str(path)]) == 1
+        assert "agents[1].arch.conv_channels[0]: expected int, got float" in capsys.readouterr().err
+        assert not (tmp_path / "cmp" / "runs").exists()
 
     def test_no_finished_episode_fails_before_training(self, tmp_path, archive, monkeypatch, capsys):
         # 24 days with a window of 4 is a 20-step episode; 31 timesteps in

@@ -17,7 +17,7 @@ from shufflerl.env import (
     portfolio_value,
     run_episode,
 )
-from shufflerl.errors import InsufficientHistoryError, ShuffleRlError
+from shufflerl.errors import DataError, InsufficientHistoryError, ShuffleRlError
 from shufflerl.features import (
     FeatureLayout,
     apply_permutation,
@@ -44,6 +44,15 @@ class TestEnvConfig:
             EnvConfig(cost_rate=1.0)
         with pytest.raises(ShuffleRlError):
             EnvConfig(hmax=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("initial_balance", math.nan), ("initial_balance", 0.0), ("reward_scale", math.nan),
+        ("reward_scale", -1e-6), ("balance_scale", math.nan), ("hmax", 0),
+        ("turbulence_lookback", 0), ("turbulence_lookback", -5),
+    ])
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ShuffleRlError, match=f"^{field} must be"):
+            EnvConfig(**{field: value})
 
 
 class TestPortfolioValue:
@@ -300,6 +309,16 @@ class TestStep:
             values.append(env.step(np.zeros(1)).info["turbulence"])
         assert all(np.isfinite(v) for v in values)  # cursor starts past the lookback
         assert all(v >= 0 for v in values)
+
+    def test_short_dataset_logs_nan_turbulence(self):
+        dataset = make_dataset(np.linspace(10.0, 12.0, 30).reshape(30, 1))
+        env = TradingEnv(dataset, small_config(turbulence_lookback=40, window_length=8))
+        assert math.isnan(env.step(np.zeros(1)).info["turbulence"])
+
+    def test_lookback_too_small_for_tickers_raises(self, toy_market):
+        # Two tickers need a lookback of at least D + 2 = 4.
+        with pytest.raises(DataError, match="lookback 3 too small for 2 tickers"):
+            TradingEnv(toy_market, small_config(turbulence_lookback=3))
 
 
 class TestLedgerProperties:

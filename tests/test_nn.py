@@ -406,6 +406,37 @@ TOY_ARCH = ArchSpec(
 )
 
 
+class TestArchSpec:
+    def test_json_round_trip(self):
+        arch = ArchSpec(
+            kind="mlp", conv_channels=(2,), conv_kernels=((2, 3),), conv_strides=((1, 2),),
+            embed_dim=5, mlp_hidden=(7, 3), log_std_init=-1.5, log_std_bounds=(-4.0, 1.0), head_gain=0.5,
+        )
+        loaded = ArchSpec.from_dict(json.loads(json.dumps(arch.to_dict())))
+        assert loaded == arch
+        assert hash(loaded) == hash(arch)
+
+    def test_missing_head_gain_takes_default(self):
+        data = json.loads(json.dumps(TOY_ARCH.to_dict()))
+        del data["head_gain"]
+        assert ArchSpec.from_dict(data).head_gain == ArchSpec().head_gain
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("conv_channels", (0, 32), "conv_channels, embed_dim and mlp_hidden"),
+        ("embed_dim", 0, "conv_channels, embed_dim and mlp_hidden"),
+        ("mlp_hidden", (-4,), "conv_channels, embed_dim and mlp_hidden"),
+        ("conv_kernels", ((8, 0), (4, 4)), "conv_kernels and conv_strides"),
+        ("conv_strides", ((4, 4), (-1, 2)), "conv_kernels and conv_strides"),
+        ("log_std_bounds", (2.0, -5.0), "low < high"),
+        ("log_std_bounds", (-5.0, float("nan")), "low < high"),
+        ("log_std_init", float("inf"), "log_std_init must be finite"),
+        ("log_std_init", float("nan"), "log_std_init must be finite"),
+    ])
+    def test_out_of_range_rejected(self, field, value, message):
+        with pytest.raises(ShuffleRlError, match=message):
+            ArchSpec(**{field: value})
+
+
 class TestExtractors:
     def test_default_cnn_shape_chain(self):
         arch = ArchSpec()
