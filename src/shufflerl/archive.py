@@ -9,12 +9,17 @@ vector changes. Loading re-runs the CSV parsers and the forward-fill
 alignment, which rebuilds the dense grid, so a round trip reproduces the
 dataset exactly. Archives written with a row for every (day, ticker) load
 the same way, and their recorded fingerprints still verify.
+
+``market_csvs`` gives those two CSVs' bytes without writing them, so a
+synthetic market built from a run config and the archive ``synth`` writes
+with the same parameters have one fingerprint.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -41,40 +46,47 @@ def dataset_fingerprint(prices_bytes: bytes, fundamentals_bytes: bytes) -> str:
     return f"sha256:{digest.hexdigest()}"
 
 
-def save_archive(dataset: MarketDataset, directory) -> dict:
-    """Write the archive and return its metadata dict."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+def _csv_bytes(header: list[str], rows) -> bytes:
+    # csv writes a float as its repr, so every value reads back exactly.
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue().encode("utf-8")
 
+
+def market_csvs(dataset: MarketDataset) -> tuple[bytes, bytes]:
+    """The ``prices.csv`` and ``fundamentals.csv`` bytes an archive of
+    ``dataset`` holds; their fingerprint is the market's identity."""
     days = [day.isoformat() for day in dataset.days]
     tickers = dataset.tickers
-
-    # csv writes a float as its repr, so every value reads back exactly.
-    prices_path = directory / PRICES_NAME
-    with open(prices_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["date", "ticker", "close"])
-        writer.writerows(
-            [day, ticker, price]
-            for day, row in zip(days, dataset.close.tolist())
-            for ticker, price in zip(tickers, row)
-        )
-
+    prices = _csv_bytes(
+        ["date", "ticker", "close"],
+        ([day, ticker, price]
+         for day, row in zip(days, dataset.close.tolist())
+         for ticker, price in zip(tickers, row)),
+    )
     # A ticker's ratios get a row on the first day and on each day they
     # change. Bit patterns are compared so that 0.0 -> -0.0 counts as a change.
     bits = dataset.ratios.view(np.int64)
     changed = np.ones((dataset.n_days, len(tickers)), dtype=bool)
     changed[1:] = np.any(bits[1:] != bits[:-1], axis=1)
-    fundamentals_path = directory / FUNDAMENTALS_NAME
-    with open(fundamentals_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["date", "ticker", *RATIO_COLUMNS])
-        writer.writerows(
-            [days[di], tickers[ti], *dataset.ratios[di, :, ti].tolist()]
-            for di, ti in zip(*np.nonzero(changed))
-        )
+    fundamentals = _csv_bytes(
+        ["date", "ticker", *RATIO_COLUMNS],
+        ([days[di], tickers[ti], *dataset.ratios[di, :, ti].tolist()]
+         for di, ti in zip(*np.nonzero(changed))),
+    )
+    return prices, fundamentals
 
-    fingerprint = dataset_fingerprint(prices_path.read_bytes(), fundamentals_path.read_bytes())
+
+def save_archive(dataset: MarketDataset, directory) -> dict:
+    """Write the archive and return its metadata dict."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    prices, fundamentals = market_csvs(dataset)
+    (directory / PRICES_NAME).write_bytes(prices)
+    (directory / FUNDAMENTALS_NAME).write_bytes(fundamentals)
+    fingerprint = dataset_fingerprint(prices, fundamentals)
     metadata = {
         "tickers": list(dataset.tickers),
         "n_days": dataset.n_days,

@@ -6,7 +6,10 @@ network's dtype, free-form metadata) and ``params.bin``, a flat
 little-endian blob of every tensor in manifest order, in that dtype.
 Trainable parameters and batch-norm running statistics are both stored, so
 a loaded network is bit-for-bit the saved one. A manifest without a dtype
-is read as float64.
+is read as float64. The architecture is read back through the run
+config's typed reader over every ``ArchSpec`` field, so a mistyped or
+unknown entry is a ``ConfigError``; a missing ``head_gain`` takes its
+default.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 from shufflerl import __version__
 from shufflerl.errors import ShuffleRlError
 from shufflerl.nn import ActorCritic, ArchSpec
+from shufflerl.runconfig import read_section
 
 MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "params.bin"
@@ -91,7 +95,7 @@ def load_checkpoint(directory) -> tuple[ActorCritic, dict]:
     manifest = json.loads(manifest_path.read_text())
     if manifest.get("format_version") != FORMAT_VERSION:
         raise ShuffleRlError(f"unsupported checkpoint format {manifest.get('format_version')}")
-    arch = ArchSpec.from_dict(manifest["architecture"])
+    arch = read_section("checkpoint architecture", ArchSpec, manifest.get("architecture"))
     dtype = _dtype(manifest)
     net = ActorCritic(
         arch,

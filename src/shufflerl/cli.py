@@ -45,7 +45,7 @@ from shufflerl.runconfig import (
     SplitSpec,
     load_run_config,
     materialize_dataset,
-    parse_env_config,
+    read_section,
     resolve_split,
 )
 
@@ -263,6 +263,18 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     net, manifest = load_checkpoint(args.checkpoint)
     metadata = manifest.get("metadata", {})
+    # The recorded agent, env and split are read as a run config's would be.
+    agent = read_section("checkpoint agent", AgentSpec, {"kind": metadata.get("agent_kind")}, arch=net.arch)
+    base_env = read_section("checkpoint env", EnvConfig, metadata.get("env"), permutation=None)
+    split = metadata.get("split")
+    if split is not None:
+        split = read_section("checkpoint split", SplitSpec, split)
+    elif args.split == "test":
+        raise ConfigError(
+            "checkpoint records no train/test split; evaluate with --split train "
+            "or retrain with a 'split' section"
+        )
+
     dataset, archive_meta = load_archive(args.dataset)
     recorded = metadata.get("dataset_fingerprint")
     if recorded and recorded != archive_meta["fingerprint"]:
@@ -271,22 +283,8 @@ def cmd_evaluate(args) -> int:
             f"the training fingerprint {recorded}",
             file=sys.stderr,
         )
-
-    split_spec = metadata.get("split")
-    if split_spec is not None:
-        split = SplitSpec(**split_spec)
-        train_part, test_part = resolve_split(dataset, split)
-        part = train_part if args.split == "train" else test_part
-    else:
-        if args.split == "test":
-            raise ConfigError(
-                "checkpoint records no train/test split; evaluate with --split train "
-                "or retrain with a 'split' section"
-            )
-        part = dataset
-
-    base_env = parse_env_config("checkpoint env", metadata.get("env", {}))
-    agent = AgentSpec(kind=metadata.get("agent_kind", "cnn"))
+    train_part, test_part = resolve_split(dataset, split)
+    part = train_part if args.split == "train" else test_part
     env_config = make_env_config(base_env, agent, part.ticker_count)
 
     report, env = evaluate(net, part, env_config)

@@ -347,16 +347,6 @@ class ArchSpec:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ArchSpec":
-        """Inverse of ``to_dict`` after a JSON round trip, which turns tuples
-        into lists; a missing ``head_gain`` takes the default."""
-
-        def frozen(value):
-            return tuple(frozen(v) for v in value) if isinstance(value, list) else value
-
-        return cls(**{key: frozen(value) for key, value in data.items()})
-
 
 def _kaiming(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
     return rng.standard_normal(shape) * math.sqrt(2.0 / fan_in)

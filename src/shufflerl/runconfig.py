@@ -1,10 +1,13 @@
 """Run configuration: strict JSON schema with explicit defaults.
 
-The keys and value types of the env, ppo and arch sections are the fields
-of ``EnvConfig``, ``PpoConfig`` and ``ArchSpec``. Unknown keys are rejected
-(with a did-you-mean hint) rather than ignored, and the fully resolved
-configuration is dumped into every run manifest so a manifest alone
-reproduces a run.
+The keys and value types of the env, ppo, arch and split sections are the
+fields of ``EnvConfig``, ``PpoConfig``, ``ArchSpec`` and ``SplitSpec``, and
+the dataclasses check their own values. Unknown keys are rejected (with a
+did-you-mean hint) rather than ignored. ``read_section`` is the one typed
+reader: the run config, a checkpoint's architecture and the metadata that
+``evaluate`` reads back all go through it. The fully resolved
+configuration is dumped into every run manifest, and that ``config``
+re-parses to the same ``RunConfig``, so a manifest alone reproduces a run.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 from datetime import date
 from pathlib import Path
 
-from shufflerl.archive import dataset_fingerprint, load_archive
+from shufflerl.archive import dataset_fingerprint, load_archive, market_csvs
 from shufflerl.data import SYNTH_DRIFT, SYNTH_VOLATILITY, MarketDataset, generate_synthetic_market, split_by_date
 from shufflerl.env import EnvConfig
 from shufflerl.errors import ConfigError, DataError, ShuffleRlError
@@ -39,7 +42,6 @@ _ARCH_KEYS = _fields(ArchSpec, "kind", "head_gain")
 
 _SYNTH_KEYS = {"source": str, "seed": int, "tickers": int, "days": int, "drift": float, "volatility": float}
 _ARCHIVE_KEYS = {"source": str, "path": str}
-_SPLIT_KEYS = {"boundary": str, "train_fraction": float}
 _TOP_KEYS = ("dataset", "env", "ppo", "agent", "agents", "seeds", "split", "out")
 
 
@@ -76,26 +78,27 @@ def _value(where: str, value, hint):
     return value
 
 
+def _dumped(config, schema: dict) -> dict:
+    return {key: getattr(config, key) for key in schema}
+
+
 def _typed(section: str, data: dict, schema: dict) -> dict:
     _reject_unknown(section, data, schema)
     return {key: _value(f"{section}.{key}", value, schema[key]) for key, value in data.items()}
 
 
-def _build(section: str, cls, data, schema: dict, **fixed):
-    """``cls`` built from a JSON object typed by ``schema``; a value its own
-    checks reject is a config error."""
+def read_section(section: str, cls, data, schema: dict | None = None, **fixed):
+    """``cls`` built from the JSON object ``data`` and the ``fixed`` fields.
+    ``schema`` (by default every field of ``cls`` not in ``fixed``) types
+    the keys of ``data``; a value that ``cls``'s own checks reject is a
+    config error."""
     if not isinstance(data, dict):
         raise ConfigError(f"{section} must be an object")
-    values = _typed(section, data, schema)
+    values = _typed(section, data, _fields(cls, *fixed) if schema is None else schema)
     try:
         return cls(**fixed, **values)
     except ShuffleRlError as exc:
         raise ConfigError(f"{section}: {exc}") from None
-
-
-def parse_env_config(section: str, data) -> EnvConfig:
-    """An env section, such as a checkpoint's, checked as in a run config."""
-    return _build(section, EnvConfig, data, _ENV_KEYS)
 
 
 @dataclass(frozen=True)
@@ -111,6 +114,17 @@ class DatasetSpec:
 class SplitSpec:
     boundary: str | None = None
     train_fraction: float | None = None
+
+    def __post_init__(self):
+        if (self.boundary is None) == (self.train_fraction is None):
+            raise ShuffleRlError("exactly one of 'boundary' and 'train_fraction' must be set")
+        if self.boundary is not None:
+            try:
+                date.fromisoformat(self.boundary)
+            except ValueError:
+                raise ShuffleRlError(f"boundary is not an ISO-8601 date: {self.boundary!r}") from None
+        elif not 0.0 < self.train_fraction < 1.0:
+            raise ShuffleRlError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
 
     def to_dict(self) -> dict:
         if self.boundary is not None:
@@ -132,10 +146,11 @@ class RunConfig:
         """Full configuration with every default made explicit."""
         return {
             "dataset": self.dataset.to_dict(),
-            "env": {key: getattr(self.env, key) for key in _ENV_KEYS},
-            "ppo": {key: getattr(self.ppo, key) for key in _PPO_KEYS},
+            "env": _dumped(self.env, _ENV_KEYS),
+            "ppo": _dumped(self.ppo, _PPO_KEYS),
             "agents": [
-                {"kind": agent.kind, "arch": agent.resolve_arch().to_dict()} for agent in self.agents
+                {"kind": agent.kind, "arch": _dumped(agent.resolve_arch(), _ARCH_KEYS)}
+                for agent in self.agents
             ],
             "seeds": list(self.seeds),
             "split": self.split.to_dict() if self.split else None,
@@ -173,28 +188,8 @@ def _parse_agent(section: str, data) -> AgentSpec:
     if kind not in AGENT_KINDS:
         raise ConfigError(f"{section}.kind must be one of {AGENT_KINDS}, got {kind!r}")
     extractor_kind = AgentSpec(kind=kind).extractor_kind
-    arch = None
-    if "arch" in data:
-        arch = _build(f"{section}.arch", ArchSpec, data["arch"], _ARCH_KEYS, kind=extractor_kind)
+    arch = read_section(f"{section}.arch", ArchSpec, data.get("arch", {}), _ARCH_KEYS, kind=extractor_kind)
     return AgentSpec(kind=kind, arch=arch)
-
-
-def _parse_split(data) -> SplitSpec:
-    if not isinstance(data, dict):
-        raise ConfigError("split section must be an object")
-    fields = _typed("split", data, _SPLIT_KEYS)
-    if ("boundary" in fields) == ("train_fraction" in fields):
-        raise ConfigError("split needs exactly one of 'boundary' or 'train_fraction'")
-    if "boundary" in fields:
-        try:
-            date.fromisoformat(fields["boundary"])
-        except ValueError:
-            raise ConfigError(f"split.boundary is not an ISO-8601 date: {fields['boundary']!r}") from None
-        return SplitSpec(boundary=fields["boundary"])
-    fraction = fields["train_fraction"]
-    if not 0.0 < fraction < 1.0:
-        raise ConfigError(f"split.train_fraction must be in (0, 1), got {fraction}")
-    return SplitSpec(train_fraction=fraction)
 
 
 def parse_run_config(data: dict, require_comparison: bool = False) -> RunConfig:
@@ -205,8 +200,8 @@ def parse_run_config(data: dict, require_comparison: bool = False) -> RunConfig:
         raise ConfigError("run config needs a 'dataset' section")
     dataset = _parse_dataset(data["dataset"])
 
-    env = parse_env_config("env", data.get("env", {}))
-    ppo = _build("ppo", PpoConfig, data.get("ppo", {}), _PPO_KEYS)
+    env = read_section("env", EnvConfig, data.get("env", {}), _ENV_KEYS)
+    ppo = read_section("ppo", PpoConfig, data.get("ppo", {}), _PPO_KEYS)
 
     if "agent" in data and "agents" in data:
         raise ConfigError("give either 'agent' or 'agents', not both")
@@ -224,26 +219,20 @@ def parse_run_config(data: dict, require_comparison: bool = False) -> RunConfig:
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate agent kinds in 'agents': {names}")
 
-    seeds = data.get("seeds", [0, 1, 2])
-    if not isinstance(seeds, list) or not seeds or not all(
-        isinstance(s, int) and not isinstance(s, bool) for s in seeds
-    ):
+    seeds = _value("seeds", data.get("seeds", [0, 1, 2]), tuple[int, ...])
+    if not seeds:
         raise ConfigError("seeds must be a non-empty list of ints")
 
-    split = _parse_split(data["split"]) if data.get("split") is not None else None
-
-    out = data.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("out must be a string path")
+    split = read_section("split", SplitSpec, data["split"]) if data.get("split") is not None else None
 
     return RunConfig(
         dataset=dataset,
         env=env,
         ppo=ppo,
         agents=agents,
-        seeds=tuple(seeds),
+        seeds=seeds,
         split=split,
-        out=out,
+        out=_value("out", data.get("out"), str | None),
     )
 
 
@@ -264,9 +253,8 @@ def materialize_dataset(spec: DatasetSpec) -> tuple[MarketDataset, str]:
         dataset, metadata = load_archive(spec.params["path"])
         return dataset, metadata["fingerprint"]
     dataset = generate_synthetic_market(**spec.params)
-    # Synthetic data is fully determined by its parameters.
-    blob = json.dumps(spec.to_dict(), sort_keys=True).encode()
-    return dataset, dataset_fingerprint(blob, b"")
+    # The fingerprint an archive of the same market records.
+    return dataset, dataset_fingerprint(*market_csvs(dataset))
 
 
 def resolve_split(dataset: MarketDataset, split: SplitSpec | None) -> tuple[MarketDataset, MarketDataset | None]:

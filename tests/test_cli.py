@@ -464,6 +464,44 @@ class TestCliEvaluate:
         assert rc == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("metadata", "split", {"fraction": 0.8},
+         "unknown key 'fraction' in checkpoint split; did you mean 'train_fraction'?"),
+        ("architecture", "embed_dim", 4.0, "checkpoint architecture.embed_dim: expected int, got float"),
+        ("architecture", "mlp_hidden", [4.0, 4], "checkpoint architecture.mlp_hidden[0]: expected int, got float"),
+        ("metadata", "agent_kind", "cnn", "checkpoint agent: architecture kind 'mlp' does not match agent 'cnn'"),
+        ("metadata", "env", None, "checkpoint env must be an object"),  # None deletes the key
+    ])
+    def test_malformed_checkpoint_is_config_error(self, tmp_path, archive, capsys, section, key, value, message):
+        ckpt = self._train(tmp_path, archive)
+        manifest_path = ckpt / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        if value is None:
+            del manifest[section][key]
+        else:
+            manifest[section][key] = value
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        rc = main(["evaluate", "--checkpoint", str(ckpt), "--dataset", str(archive),
+                   "--split", "train", "--out", str(tmp_path / "eval")])
+        assert rc == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_synthetic_run_matches_its_synth_archive(self, tmp_path, capsys):
+        cfg = {**base_config(None, out=tmp_path / "run", agent=MLP_AGENT),
+               "dataset": {"source": "synthetic", "seed": 3, "tickers": 2, "days": 30}}
+        write_json(tmp_path / "cfg.json", cfg)
+        assert main(["train", "--config", str(tmp_path / "cfg.json")]) == 0
+        synth = tmp_path / "synth"
+        assert main(["synth", "--seed", "3", "--tickers", "2", "--days", "30", "--out", str(synth)]) == 0
+        capsys.readouterr()
+        ckpt = tmp_path / "run" / "runs" / "mlp-seed0" / "checkpoint"
+        rc = main(["evaluate", "--checkpoint", str(ckpt), "--dataset", str(synth),
+                   "--split", "train", "--out", str(tmp_path / "eval")])
+        assert rc == 0
+        assert "differs" not in capsys.readouterr().err
+        recorded = json.loads((ckpt / "manifest.json").read_text())["metadata"]["dataset_fingerprint"]
+        assert recorded == json.loads((synth / "metadata.json").read_text())["fingerprint"]
+
     def test_window_mismatch_is_runtime_error(self, tmp_path, archive, capsys):
         ckpt = self._train(tmp_path, archive)
         manifest_path = ckpt / "manifest.json"
@@ -594,6 +632,17 @@ class TestCliCompare:
         assert "reused" not in capsys.readouterr().out
         manifest = json.loads((tmp_path / "cmp" / "manifest.json").read_text())
         assert not any(run["reused"] for run in manifest["runs"])
+
+    def test_manifest_config_reparses(self, tmp_path, archive):
+        cfg = base_config(archive, out=tmp_path / "cmp", agents=[MLP_AGENT, CNN_AGENT])
+        cfg["split"] = {"train_fraction": 0.7}
+        path = tmp_path / "cmp.json"
+        write_json(path, cfg)
+        assert main(["compare", "--config", str(path)]) == 0
+        config = json.loads((tmp_path / "cmp" / "manifest.json").read_text())["config"]
+        reparsed = parse_run_config(config)
+        assert json.loads(json.dumps(reparsed.resolved_dict())) == config  # as stored: tuples become lists
+        assert reparsed == parse_run_config(cfg)
 
     def test_fewer_than_two_agents(self, tmp_path, archive, capsys):
         cfg = base_config(archive, out=tmp_path / "cmp", agents=[MLP_AGENT])

@@ -19,6 +19,7 @@ from shufflerl.nn import (
     conv_output_size,
     grad_check,
 )
+from shufflerl.runconfig import read_section
 
 
 def relu_kink_margin(extractor, x):
@@ -412,14 +413,18 @@ class TestArchSpec:
             kind="mlp", conv_channels=(2,), conv_kernels=((2, 3),), conv_strides=((1, 2),),
             embed_dim=5, mlp_hidden=(7, 3), log_std_init=-1.5, log_std_bounds=(-4.0, 1.0), head_gain=0.5,
         )
-        loaded = ArchSpec.from_dict(json.loads(json.dumps(arch.to_dict())))
+        loaded = read_section("architecture", ArchSpec, json.loads(json.dumps(arch.to_dict())))
         assert loaded == arch
         assert hash(loaded) == hash(arch)
 
-    def test_missing_head_gain_takes_default(self):
-        data = json.loads(json.dumps(TOY_ARCH.to_dict()))
-        del data["head_gain"]
-        assert ArchSpec.from_dict(data).head_gain == ArchSpec().head_gain
+    def test_missing_head_gain_takes_default(self, tmp_path):
+        save_checkpoint(tmp_path / "ckpt", ActorCritic(TOY_ARCH, (6, 8), 3, seed=5))
+        manifest_path = tmp_path / "ckpt" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["architecture"]["head_gain"]
+        manifest_path.write_text(json.dumps(manifest))
+        loaded, _ = load_checkpoint(tmp_path / "ckpt")
+        assert loaded.arch.head_gain == ArchSpec().head_gain
 
     @pytest.mark.parametrize("field, value, message", [
         ("conv_channels", (0, 32), "conv_channels, embed_dim and mlp_hidden"),
