@@ -9,21 +9,29 @@ a loaded network is bit-for-bit the saved one. A manifest without a dtype
 is read as float64. The architecture is read back through the run
 config's typed reader over every ``ArchSpec`` field, so a mistyped or
 unknown entry is a ``ConfigError``; a missing ``head_gain`` takes its
-default.
+default. The seed, observation shape, action count and tensor list are
+typed the same way, and a missing one is a ``ConfigError`` too.
+
+Saving streams each tensor to the blob in turn, with no joined copy.
+Loading checks the manifest against the rebuilt network and the blob's
+exact size before it reads anything, builds the network without drawing
+initial weights, and reads each tensor straight into the array that holds
+it. Neither changes the format, so every format-1 checkpoint loads.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 
 from shufflerl import __version__
-from shufflerl.errors import ShuffleRlError
+from shufflerl.errors import ConfigError, ShuffleRlError
 from shufflerl.nn import ActorCritic, ArchSpec
-from shufflerl.runconfig import read_section
+from shufflerl.runconfig import read_section, read_value
 
 MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "params.bin"
@@ -80,10 +88,18 @@ def save_checkpoint(directory, net: ActorCritic, metadata: dict | None = None) -
         "blob": BLOB_NAME,
         "metadata": metadata or {},
     }
-    blob = b"".join(np.ascontiguousarray(arr, dtype=dtype).tobytes() for _, arr, _ in tensors)
     (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    (directory / BLOB_NAME).write_bytes(blob)
+    with open(directory / BLOB_NAME, "wb") as handle:
+        for _, arr, _ in tensors:
+            handle.write(np.ascontiguousarray(arr, dtype=dtype))  # copies only to convert
     return directory
+
+
+def _required(record: dict, where: str, key: str, hint):
+    """``record[key]`` read as type ``hint``; missing or mistyped is a config error."""
+    if key not in record:
+        raise ConfigError(f"{where} has no {key!r}")
+    return read_value(f"{where}.{key}", record[key], hint)
 
 
 def load_checkpoint(directory) -> tuple[ActorCritic, dict]:
@@ -97,28 +113,31 @@ def load_checkpoint(directory) -> tuple[ActorCritic, dict]:
         raise ShuffleRlError(f"unsupported checkpoint format {manifest.get('format_version')}")
     arch = read_section("checkpoint architecture", ArchSpec, manifest.get("architecture"))
     dtype = _dtype(manifest)
-    net = ActorCritic(
-        arch,
-        tuple(manifest["observation_shape"]),
-        manifest["action_dim"],
-        seed=manifest["seed"],
-        dtype=dtype,
-    )
+    obs_shape = _required(manifest, "checkpoint", "observation_shape", tuple[int, ...])
+    action_dim = _required(manifest, "checkpoint", "action_dim", int)
+    if min((*obs_shape, action_dim)) < 1:
+        raise ConfigError("checkpoint observation_shape and action_dim entries must be >= 1")
+    seed = _required(manifest, "checkpoint", "seed", int)
+    names, shapes = [], []
+    for i, entry in enumerate(_required(manifest, "checkpoint", "tensors", tuple[dict, ...])):
+        names.append(_required(entry, f"checkpoint.tensors[{i}]", "name", str))
+        shapes.append(_required(entry, f"checkpoint.tensors[{i}]", "shape", tuple[int, ...]))
+    blob_path = directory / _required(manifest, "checkpoint", "blob", str)
+    net = ActorCritic(arch, obs_shape, action_dim, seed=seed, dtype=dtype.newbyteorder("="), _draw=False)
     tensors = _all_tensors(net)
-    entries = manifest["tensors"]
-    if [e["name"] for e in entries] != [name for name, _, _ in tensors]:
+    if names != [name for name, _, _ in tensors]:
         raise ShuffleRlError("checkpoint tensor list does not match the rebuilt architecture")
-    raw = (directory / manifest["blob"]).read_bytes()
-    expected = blob_size(manifest)
-    if len(raw) != expected:
-        raise ShuffleRlError(f"blob size {len(raw)} != expected {expected}")
-    offset = 0
-    for entry, (name, arr, _) in zip(entries, tensors):
-        shape = tuple(entry["shape"])
+    for name, shape, (_, arr, _) in zip(names, shapes, tensors):
         if shape != arr.shape:
             raise ShuffleRlError(f"tensor {name}: manifest shape {shape} != model shape {arr.shape}")
-        count = int(np.prod(shape))
-        values = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(shape)
-        arr[...] = values
-        offset += count * dtype.itemsize
+    with open(blob_path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        expected = sum(arr.nbytes for _, arr, _ in tensors)
+        if size != expected:
+            raise ShuffleRlError(f"blob size {size} != expected {expected}")
+        for _, arr, _ in tensors:
+            if handle.readinto(arr) != arr.nbytes:
+                raise ShuffleRlError(f"blob {blob_path} ended early")
+            if not dtype.isnative:
+                arr.byteswap(inplace=True)
     return net, manifest

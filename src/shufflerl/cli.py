@@ -32,6 +32,7 @@ from shufflerl.data import (
 from shufflerl.env import EnvConfig
 from shufflerl.errors import ConfigError, DataError, ShuffleRlError
 from shufflerl.metrics import compare_runs, metrics_report, write_aligned_curves_csv
+from shufflerl.nn import ArchSpec
 from shufflerl.ppo import (
     AGENT_KINDS,
     AgentSpec,
@@ -80,11 +81,11 @@ def _write_stats_jsonl(path: Path, stats: list[dict]) -> None:
 def _checkpoint_metadata(
     config: RunConfig, agent: AgentSpec, seed: int, fingerprint: str
 ) -> dict:
-    """Everything that determines a run's artifacts besides the source hash."""
+    """Everything that determines a run's artifacts besides the source hash
+    and the architecture, which the checkpoint manifest records itself."""
     resolved = config.resolved_dict()
     return {
         "agent_kind": agent.kind,
-        "arch": agent.resolve_arch().to_dict(),
         "dataset_fingerprint": fingerprint,
         "env": resolved["env"],
         "ppo": resolved["ppo"],
@@ -124,10 +125,11 @@ def _train_one(
     return result
 
 
-def _run_is_cached(run_dir: Path, metadata: dict) -> bool:
-    """A run is reused only if its checkpoint records the metadata and source
-    hash this run would write and its blob has the size its manifest implies.
-    The hash covers ``__init__.py``, so a version bump also retrains."""
+def _run_is_cached(run_dir: Path, metadata: dict, arch: ArchSpec) -> bool:
+    """A run is reused only if its checkpoint records the architecture,
+    metadata and source hash this run would write and its blob has the size
+    its manifest implies. The hash covers ``__init__.py``, so a version bump
+    also retrains."""
     checkpoint = run_dir / "checkpoint"
     try:
         manifest = json.loads((checkpoint / MANIFEST_NAME).read_text())
@@ -139,7 +141,9 @@ def _run_is_cached(run_dir: Path, metadata: dict) -> bool:
         and (run_dir / "curve.csv").exists()
         and (run_dir / "stats.jsonl").exists()
         and manifest.get("source_hash") == source_hash()
-        and manifest.get("metadata") == json.loads(json.dumps(metadata))  # as stored: tuples become lists
+        # as stored: tuples become lists
+        and manifest.get("architecture") == json.loads(json.dumps(arch.to_dict()))
+        and manifest.get("metadata") == json.loads(json.dumps(metadata))
     )
 
 
@@ -194,7 +198,7 @@ def _execute_runs(
         for seed in config.seeds:
             run_dir = out_dir / "runs" / f"{agent.kind}-seed{seed}"
             metadata = _checkpoint_metadata(config, agent, seed, fingerprint)
-            cached = reuse_cached and _run_is_cached(run_dir, metadata)
+            cached = reuse_cached and _run_is_cached(run_dir, metadata, agent.resolve_arch())
             runs.append(
                 {
                     "agent": agent.kind,

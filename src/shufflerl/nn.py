@@ -348,8 +348,16 @@ class ArchSpec:
         return asdict(self)
 
 
-def _kaiming(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    return rng.standard_normal(shape) * math.sqrt(2.0 / fan_in)
+def _kaiming(
+    rng: np.random.Generator | None, shape: tuple[int, ...], fan_in: int, dtype, gain: float = 1.0
+) -> np.ndarray:
+    """Kaiming-normal weights drawn in float64, times ``gain``, cast to
+    ``dtype``. With no generator nothing is drawn: the array is left
+    uninitialized for ``load_checkpoint`` to fill."""
+    if rng is None:
+        return np.empty(shape, dtype)
+    weight = rng.standard_normal(shape) * math.sqrt(2.0 / fan_in)
+    return (weight if gain == 1.0 else gain * weight).astype(dtype)
 
 
 def cnn_feature_shapes(
@@ -366,7 +374,7 @@ def cnn_feature_shapes(
 
 
 def build_extractor(
-    arch: ArchSpec, obs_shape: tuple[int, ...], rng: np.random.Generator, dtype=np.float64
+    arch: ArchSpec, obs_shape: tuple[int, ...], rng: np.random.Generator | None, dtype=np.float64
 ) -> Sequential:
     """Feature extractor mapping an observation batch to embeddings.
 
@@ -383,14 +391,14 @@ def build_extractor(
         for li, (ch, (kh, kw), stride) in enumerate(
             zip(arch.conv_channels, arch.conv_kernels, arch.conv_strides), start=1
         ):
-            weight = _kaiming(rng, (ch, in_ch, kh, kw), fan_in=in_ch * kh * kw).astype(dtype)
+            weight = _kaiming(rng, (ch, in_ch, kh, kw), in_ch * kh * kw, dtype)
             layers.append(Conv2d(f"conv{li}", weight, np.zeros(ch, dtype), stride))
             layers.append(BatchNorm2d(f"bn{li}", np.ones(ch, dtype), np.zeros(ch, dtype)))
             layers.append(ReLU(f"relu{li}"))
             in_ch = ch
         flat = int(np.prod(shapes[-1]))
         layers.append(Flatten("flatten"))
-        weight = _kaiming(rng, (arch.embed_dim, flat), fan_in=flat).astype(dtype)
+        weight = _kaiming(rng, (arch.embed_dim, flat), flat, dtype)
         layers.append(Linear("embed", weight, np.zeros(arch.embed_dim, dtype)))
         layers.append(ReLU("relu_embed"))
         return Sequential(layers)
@@ -398,7 +406,7 @@ def build_extractor(
     in_features = int(np.prod(obs_shape))
     layers = [Flatten("flatten")]
     for li, hidden in enumerate(arch.mlp_hidden, start=1):
-        weight = _kaiming(rng, (hidden, in_features), fan_in=in_features).astype(dtype)
+        weight = _kaiming(rng, (hidden, in_features), in_features, dtype)
         layers.append(Linear(f"fc{li}", weight, np.zeros(hidden, dtype)))
         layers.append(ReLU(f"relu{li}"))
         in_features = hidden
@@ -420,22 +428,32 @@ class ActorCritic:
     Parameters, batch-norm statistics, caches and gradients all have the
     ``dtype`` the network is built with; observations and the output
     gradients handed to ``backward`` are cast to it.
+
+    The initial weights are drawn from ``seed``. ``_draw=False`` draws
+    nothing and leaves the weights uninitialized; only ``load_checkpoint``,
+    which overwrites every tensor, builds a network that way.
     """
 
     def __init__(
-        self, arch: ArchSpec, obs_shape: tuple[int, ...], action_dim: int, seed: int, dtype=np.float64
+        self,
+        arch: ArchSpec,
+        obs_shape: tuple[int, ...],
+        action_dim: int,
+        seed: int,
+        dtype=np.float64,
+        *,
+        _draw: bool = True,
     ):
         self.arch = arch
         self.obs_shape = tuple(int(s) for s in obs_shape)
         self.action_dim = int(action_dim)
         self.seed = int(seed)
         self.dtype = np.dtype(dtype)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed) if _draw else None
         self.extractor = build_extractor(arch, self.obs_shape, rng, self.dtype)
         embed = extractor_out_dim(arch, self.obs_shape)
-        gain = arch.head_gain
-        policy_w = (gain * _kaiming(rng, (action_dim, embed), fan_in=embed)).astype(self.dtype)
-        value_w = (gain * _kaiming(rng, (1, embed), fan_in=embed)).astype(self.dtype)
+        policy_w = _kaiming(rng, (action_dim, embed), embed, self.dtype, arch.head_gain)
+        value_w = _kaiming(rng, (1, embed), embed, self.dtype, arch.head_gain)
         self.policy_head = Linear("policy", policy_w, np.zeros(action_dim, self.dtype))
         self.value_head = Linear("value", value_w, np.zeros(1, self.dtype))
         self.log_std = np.full(action_dim, arch.log_std_init, dtype=self.dtype)

@@ -53,7 +53,7 @@ def _reject_unknown(section: str, data: dict, allowed) -> None:
             raise ConfigError(f"unknown key {key!r} in {section}{suffix}")
 
 
-def _value(where: str, value, hint):
+def read_value(where: str, value, hint):
     """``value`` read as type ``hint``: an int passes as a float but a bool
     never as an int, ``X | None`` also takes null, and a ``tuple[...]`` takes
     a list of the right length, checked entry by entry and returned as a tuple."""
@@ -62,7 +62,7 @@ def _value(where: str, value, hint):
         if value is None and type(None) in args:
             return None
         (hint,) = [arg for arg in args if arg is not type(None)]
-        return _value(where, value, hint)
+        return read_value(where, value, hint)
     if origin is tuple:
         if not isinstance(value, list):
             raise ConfigError(f"{where}: expected list, got {type(value).__name__}")
@@ -70,7 +70,7 @@ def _value(where: str, value, hint):
             args = args[:1] * len(value)
         elif len(value) != len(args):
             raise ConfigError(f"{where}: expected {len(args)} entries, got {len(value)}")
-        return tuple(_value(f"{where}[{i}]", v, arg) for i, (v, arg) in enumerate(zip(value, args)))
+        return tuple(read_value(f"{where}[{i}]", v, arg) for i, (v, arg) in enumerate(zip(value, args)))
     if hint is float and isinstance(value, int) and not isinstance(value, bool):
         return float(value)
     if isinstance(value, bool) and hint is not bool or not isinstance(value, hint):
@@ -84,7 +84,7 @@ def _dumped(config, schema: dict) -> dict:
 
 def _typed(section: str, data: dict, schema: dict) -> dict:
     _reject_unknown(section, data, schema)
-    return {key: _value(f"{section}.{key}", value, schema[key]) for key, value in data.items()}
+    return {key: read_value(f"{section}.{key}", value, schema[key]) for key, value in data.items()}
 
 
 def read_section(section: str, cls, data, schema: dict | None = None, **fixed):
@@ -219,7 +219,7 @@ def parse_run_config(data: dict, require_comparison: bool = False) -> RunConfig:
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate agent kinds in 'agents': {names}")
 
-    seeds = _value("seeds", data.get("seeds", [0, 1, 2]), tuple[int, ...])
+    seeds = read_value("seeds", data.get("seeds", [0, 1, 2]), tuple[int, ...])
     if not seeds:
         raise ConfigError("seeds must be a non-empty list of ints")
 
@@ -232,7 +232,7 @@ def parse_run_config(data: dict, require_comparison: bool = False) -> RunConfig:
         agents=agents,
         seeds=seeds,
         split=split,
-        out=_value("out", data.get("out"), str | None),
+        out=read_value("out", data.get("out"), str | None),
     )
 
 

@@ -486,6 +486,29 @@ class TestCliEvaluate:
         assert rc == 1
         assert f"config error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", None, "checkpoint has no 'seed'"),  # None deletes the key
+        ("seed", 1.5, "checkpoint.seed: expected int, got float"),
+        ("observation_shape", [4.0, 35], "checkpoint.observation_shape[0]: expected int, got float"),
+        ("observation_shape", [0, 35], "checkpoint observation_shape and action_dim entries must be >= 1"),
+        ("action_dim", "2", "checkpoint.action_dim: expected int, got str"),
+        ("tensors", "fc1.weight", "checkpoint.tensors: expected list, got str"),
+        ("tensors", [{"name": "fc1.weight"}], "checkpoint.tensors[0] has no 'shape'"),
+    ])
+    def test_malformed_manifest_field_is_config_error(self, tmp_path, archive, capsys, key, value, message):
+        ckpt = self._train(tmp_path, archive)
+        manifest_path = ckpt / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        if value is None:
+            del manifest[key]
+        else:
+            manifest[key] = value
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        rc = main(["evaluate", "--checkpoint", str(ckpt), "--dataset", str(archive),
+                   "--split", "train", "--out", str(tmp_path / "eval")])
+        assert rc == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+
     def test_synthetic_run_matches_its_synth_archive(self, tmp_path, capsys):
         cfg = {**base_config(None, out=tmp_path / "run", agent=MLP_AGENT),
                "dataset": {"source": "synthetic", "seed": 3, "tickers": 2, "days": 30}}
@@ -603,6 +626,22 @@ class TestCliCompare:
         manifest = json.loads((tmp_path / "cmp" / "manifest.json").read_text())
         assert {run["agent"]: run["reused"] for run in manifest["runs"]} == {"mlp": True, "cnn": False}
         assert json.loads(manifest_path.read_text())["source_hash"] != "0" * 64
+
+    def test_changed_architecture_retrains(self, tmp_path, archive, capsys):
+        # The log-std bounds change no tensor shape, so the blob size still
+        # matches: only the manifest's architecture differs from the agent's.
+        path = self._two_agents(tmp_path, archive, 32)
+        assert main(["compare", "--config", str(path)]) == 0
+        manifest_path = tmp_path / "cmp" / "runs" / "cnn-seed0" / "checkpoint" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["architecture"]["log_std_bounds"] = [-4.0, 1.0]
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["compare", "--config", str(path)]) == 0
+        assert "reused 1 cached run(s)" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "cmp" / "manifest.json").read_text())
+        assert {run["agent"]: run["reused"] for run in manifest["runs"]} == {"mlp": True, "cnn": False}
+        assert json.loads(manifest_path.read_text())["architecture"]["log_std_bounds"] == [-5.0, 2.0]
 
     def test_run_killed_after_manifest_retrains(self, tmp_path, archive, monkeypatch, capsys):
         # A 32-step run's blob has the same size as a 64-step run's, so a

@@ -674,13 +674,31 @@ class TestCheckpoint:
         with pytest.raises(ShuffleRlError, match="unsupported checkpoint dtype"):
             load_checkpoint(tmp_path / "ckpt")
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_load_draws_no_initial_weights(self, tmp_path, monkeypatch, dtype):
+        net = ActorCritic(TOY_ARCH, (6, 8), 3, seed=5, dtype=dtype)
+        net.forward(np.random.default_rng(1).standard_normal((4, 6, 8)))
+        save_checkpoint(tmp_path / "ckpt", net)
+
+        def no_draw(*_args, **_kwargs):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        loaded, _ = load_checkpoint(tmp_path / "ckpt")
+        tensors = net.named_parameters() + net.named_buffers()
+        for (name, pa), (_, pb) in zip(tensors, loaded.named_parameters() + loaded.named_buffers(), strict=True):
+            assert pb.dtype == pa.dtype, name
+            assert pa.tobytes() == pb.tobytes(), name
+
     def test_truncated_float32_blob_rejected(self, tmp_path):
         net = ActorCritic(TOY_ARCH, (6, 8), 3, seed=5, dtype=np.float32)
         save_checkpoint(tmp_path / "ckpt", net)
         blob = tmp_path / "ckpt" / "params.bin"
-        blob.write_bytes(blob.read_bytes()[:-4])
-        with pytest.raises(ShuffleRlError, match="blob size"):
-            load_checkpoint(tmp_path / "ckpt")
+        full = blob.read_bytes()
+        for wrong in (full[:-4], full + bytes(8)):  # too short and too long
+            blob.write_bytes(wrong)
+            with pytest.raises(ShuffleRlError, match="blob size"):
+                load_checkpoint(tmp_path / "ckpt")
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ShuffleRlError):
