@@ -99,15 +99,21 @@ def save_archive(dataset: MarketDataset, directory) -> dict:
 
 
 def load_archive(directory) -> tuple[MarketDataset, dict]:
-    """Re-ingest an archive, verifying its recorded fingerprint."""
+    """Re-ingest an archive, verifying its recorded fingerprint. A missing
+    or unreadable file, and a metadata file that is not a JSON object, are
+    data errors."""
     directory = Path(directory)
-    metadata_path = directory / METADATA_NAME
-    if not metadata_path.exists():
-        raise DataError(f"not a dataset archive (no {METADATA_NAME})", source=str(directory))
-    metadata = json.loads(metadata_path.read_text())
     prices_path = directory / PRICES_NAME
     fundamentals_path = directory / FUNDAMENTALS_NAME
-    fingerprint = dataset_fingerprint(prices_path.read_bytes(), fundamentals_path.read_bytes())
+    try:
+        metadata = json.loads((directory / METADATA_NAME).read_bytes())
+        fingerprint = dataset_fingerprint(prices_path.read_bytes(), fundamentals_path.read_bytes())
+    except OSError as exc:
+        raise DataError(f"cannot read archive file: {exc.strerror}", source=exc.filename) from None
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise DataError(f"{METADATA_NAME} is not valid JSON ({exc})", source=str(directory)) from None
+    if not isinstance(metadata, dict):
+        raise DataError(f"{METADATA_NAME} is not a JSON object", source=str(directory))
     if fingerprint != metadata.get("fingerprint"):
         raise DataError(
             f"archive content does not match its fingerprint "

@@ -9,8 +9,10 @@ a loaded network is bit-for-bit the saved one. A manifest without a dtype
 is read as float64. The architecture is read back through the run
 config's typed reader over every ``ArchSpec`` field, so a mistyped or
 unknown entry is a ``ConfigError``; a missing ``head_gain`` takes its
-default. The seed, observation shape, action count and tensor list are
-typed the same way, and a missing one is a ``ConfigError`` too.
+default. The seed, observation shape, action count, tensor list and
+metadata object are typed the same way, and a missing one, like a manifest
+that is not a JSON object, is a ``ConfigError`` too. A missing or
+unreadable manifest or blob is a ``ShuffleRlError``.
 
 Saving streams each tensor to the blob in turn, with no joined copy.
 Loading checks the manifest against the rebuilt network and the blob's
@@ -62,11 +64,6 @@ def _all_tensors(net: ActorCritic) -> list[tuple[str, np.ndarray, bool]]:
     return tensors
 
 
-def blob_size(manifest: dict) -> int:
-    """Bytes of the blob that the manifest's tensor shapes imply."""
-    return sum(int(np.prod(e["shape"])) for e in manifest["tensors"]) * _dtype(manifest).itemsize
-
-
 def save_checkpoint(directory, net: ActorCritic, metadata: dict | None = None) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -102,13 +99,25 @@ def _required(record: dict, where: str, key: str, hint):
     return read_value(f"{where}.{key}", record[key], hint)
 
 
+def _open(directory: Path, name: str):
+    """``directory / name`` opened for reading; a missing or unreadable file
+    is a ``ShuffleRlError``."""
+    try:
+        return open(directory / name, "rb")
+    except OSError as exc:
+        raise ShuffleRlError(f"no readable {name} in {directory} ({exc.strerror})") from None
+
+
 def load_checkpoint(directory) -> tuple[ActorCritic, dict]:
     """Rebuild the network and return it with the full manifest."""
     directory = Path(directory)
-    manifest_path = directory / MANIFEST_NAME
-    if not manifest_path.exists():
-        raise ShuffleRlError(f"no {MANIFEST_NAME} in {directory}")
-    manifest = json.loads(manifest_path.read_text())
+    with _open(directory, MANIFEST_NAME) as handle:
+        try:
+            manifest = json.load(handle)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ConfigError(f"checkpoint {MANIFEST_NAME} is not valid JSON ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"checkpoint {MANIFEST_NAME} is not a JSON object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise ShuffleRlError(f"unsupported checkpoint format {manifest.get('format_version')}")
     arch = read_section("checkpoint architecture", ArchSpec, manifest.get("architecture"))
@@ -122,7 +131,8 @@ def load_checkpoint(directory) -> tuple[ActorCritic, dict]:
     for i, entry in enumerate(_required(manifest, "checkpoint", "tensors", tuple[dict, ...])):
         names.append(_required(entry, f"checkpoint.tensors[{i}]", "name", str))
         shapes.append(_required(entry, f"checkpoint.tensors[{i}]", "shape", tuple[int, ...]))
-    blob_path = directory / _required(manifest, "checkpoint", "blob", str)
+    _required(manifest, "checkpoint", "metadata", dict)
+    blob_name = _required(manifest, "checkpoint", "blob", str)
     net = ActorCritic(arch, obs_shape, action_dim, seed=seed, dtype=dtype.newbyteorder("="), _draw=False)
     tensors = _all_tensors(net)
     if names != [name for name, _, _ in tensors]:
@@ -130,14 +140,14 @@ def load_checkpoint(directory) -> tuple[ActorCritic, dict]:
     for name, shape, (_, arr, _) in zip(names, shapes, tensors):
         if shape != arr.shape:
             raise ShuffleRlError(f"tensor {name}: manifest shape {shape} != model shape {arr.shape}")
-    with open(blob_path, "rb") as handle:
+    with _open(directory, blob_name) as handle:
         size = os.fstat(handle.fileno()).st_size
         expected = sum(arr.nbytes for _, arr, _ in tensors)
         if size != expected:
             raise ShuffleRlError(f"blob size {size} != expected {expected}")
         for _, arr, _ in tensors:
             if handle.readinto(arr) != arr.nbytes:
-                raise ShuffleRlError(f"blob {blob_path} ended early")
+                raise ShuffleRlError(f"blob {handle.name} ended early")
             if not dtype.isnative:
                 arr.byteswap(inplace=True)
     return net, manifest

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from shufflerl import __version__
 from shufflerl.archive import load_archive, save_archive
-from shufflerl.checkpoint import MANIFEST_NAME, blob_size, load_checkpoint, save_checkpoint, source_hash
+from shufflerl.checkpoint import load_checkpoint, save_checkpoint, source_hash
 from shufflerl.data import (
     SYNTH_DRIFT,
     SYNTH_VOLATILITY,
@@ -126,24 +126,20 @@ def _train_one(
 
 
 def _run_is_cached(run_dir: Path, metadata: dict, arch: ArchSpec) -> bool:
-    """A run is reused only if its checkpoint records the architecture,
-    metadata and source hash this run would write and its blob has the size
-    its manifest implies. The hash covers ``__init__.py``, so a version bump
-    also retrains."""
-    checkpoint = run_dir / "checkpoint"
+    """A run is reused only if ``load_checkpoint`` accepts its checkpoint and
+    the checkpoint records the architecture, metadata and source hash this
+    run would write. The hash covers ``__init__.py``, so a version bump also
+    retrains."""
     try:
-        manifest = json.loads((checkpoint / MANIFEST_NAME).read_text())
-        blob_ok = (checkpoint / manifest["blob"]).stat().st_size == blob_size(manifest)
-    except (OSError, ValueError, KeyError, TypeError, ShuffleRlError):  # missing or malformed checkpoint
+        net, manifest = load_checkpoint(run_dir / "checkpoint")
+    except ShuffleRlError:
         return False
     return (
-        blob_ok
-        and (run_dir / "curve.csv").exists()
+        (run_dir / "curve.csv").exists()
         and (run_dir / "stats.jsonl").exists()
+        and net.arch == arch
         and manifest.get("source_hash") == source_hash()
-        # as stored: tuples become lists
-        and manifest.get("architecture") == json.loads(json.dumps(arch.to_dict()))
-        and manifest.get("metadata") == json.loads(json.dumps(metadata))
+        and manifest["metadata"] == json.loads(json.dumps(metadata))  # as stored
     )
 
 
@@ -266,7 +262,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     net, manifest = load_checkpoint(args.checkpoint)
-    metadata = manifest.get("metadata", {})
+    metadata = manifest["metadata"]
     # The recorded agent, env and split are read as a run config's would be.
     agent = read_section("checkpoint agent", AgentSpec, {"kind": metadata.get("agent_kind")}, arch=net.arch)
     base_env = read_section("checkpoint env", EnvConfig, metadata.get("env"), permutation=None)

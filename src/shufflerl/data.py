@@ -158,42 +158,61 @@ def _parse_float(text: str, column: str, source: str, line: int) -> float:
     return value
 
 
+def _load_rows(path, kind: str, header: list[str], parse_cells) -> dict:
+    """The rows of a ``kind`` CSV with ``header``, keyed by (date, ticker).
+
+    Checks the header, each row's column count, date and ticker, and that
+    no (date, ticker) pair repeats; ``parse_cells(row, source, line)`` turns
+    a row into its value. Every error names the file and, for a row, its line.
+    """
+    source = str(path)
+    table: dict = {}
+    try:
+        handle = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot open {kind} file: {exc}", source=source) from None
+    with handle:
+        reader = csv.reader(handle)
+        first = next(reader, None)
+        if first is None or [h.strip() for h in first] != header:
+            raise DataError(f"expected header {','.join(header)!r}, got {first}", source=source, line=1)
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(f"expected {len(header)} columns, got {len(row)}", source=source, line=line_no)
+            day = _parse_date(row[0], source, line_no)
+            ticker = row[1].strip()
+            if not ticker:
+                raise DataError("empty ticker", source=source, line=line_no)
+            value = parse_cells(row, source, line_no)
+            key = (day, ticker)
+            if key in table:
+                raise DataError(f"duplicate (date, ticker) pair ({day}, {ticker})", source=source, line=line_no)
+            table[key] = value
+    if not table:
+        raise DataError(f"{kind} file contains no data rows", source=source)
+    return table
+
+
+def _parse_close(row: list[str], source: str, line: int) -> float:
+    price = _parse_float(row[2], "close", source, line)
+    if price <= 0:
+        raise DataError(f"nonpositive close {price} for {row[1].strip()}", source=source, line=line)
+    return price
+
+
+def _parse_ratios(row: list[str], source: str, line: int) -> np.ndarray:
+    return np.array([_parse_float(cell, RATIO_COLUMNS[j], source, line) for j, cell in enumerate(row[2:])])
+
+
 def load_prices(path) -> PriceTable:
     """Parse a ``date,ticker,close`` CSV.
 
     Rejects nonpositive prices, malformed rows, and duplicate
     (date, ticker) pairs, naming the offending line.
     """
-    source = str(path)
-    close: dict[tuple[date, str], float] = {}
-    try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open price file: {exc}", source=source) from None
-    with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["date", "ticker", "close"]:
-            raise DataError(f"expected header 'date,ticker,close', got {header}", source=source, line=1)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataError(f"expected 3 columns, got {len(row)}", source=source, line=line_no)
-            day = _parse_date(row[0], source, line_no)
-            ticker = row[1].strip()
-            if not ticker:
-                raise DataError("empty ticker", source=source, line=line_no)
-            price = _parse_float(row[2], "close", source, line_no)
-            if price <= 0:
-                raise DataError(f"nonpositive close {price} for {ticker}", source=source, line=line_no)
-            key = (day, ticker)
-            if key in close:
-                raise DataError(f"duplicate (date, ticker) pair ({day}, {ticker})", source=source, line=line_no)
-            close[key] = price
-    if not close:
-        raise DataError("price file contains no data rows", source=source)
-    return PriceTable(close)
+    return PriceTable(_load_rows(path, "price", ["date", "ticker", "close"], _parse_close))
 
 
 def load_fundamentals(path) -> FundamentalsTable:
@@ -202,43 +221,7 @@ def load_fundamentals(path) -> FundamentalsTable:
     Observations may be sparse in time. Non-numeric or non-finite cells are
     rejected with their column name and line number.
     """
-    source = str(path)
-    expected_header = ["date", "ticker", *RATIO_COLUMNS]
-    ratios: dict[tuple[date, str], np.ndarray] = {}
-    try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open fundamentals file: {exc}", source=source) from None
-    with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != expected_header:
-            raise DataError(
-                f"expected header {','.join(expected_header)!r}, got {header}",
-                source=source,
-                line=1,
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2 + RATIO_COUNT:
-                raise DataError(
-                    f"expected {2 + RATIO_COUNT} columns, got {len(row)}", source=source, line=line_no
-                )
-            day = _parse_date(row[0], source, line_no)
-            ticker = row[1].strip()
-            if not ticker:
-                raise DataError("empty ticker", source=source, line=line_no)
-            values = np.array(
-                [_parse_float(cell, RATIO_COLUMNS[j], source, line_no) for j, cell in enumerate(row[2:])]
-            )
-            key = (day, ticker)
-            if key in ratios:
-                raise DataError(f"duplicate (date, ticker) pair ({day}, {ticker})", source=source, line=line_no)
-            ratios[key] = values
-    if not ratios:
-        raise DataError("fundamentals file contains no data rows", source=source)
-    return FundamentalsTable(ratios)
+    return FundamentalsTable(_load_rows(path, "fundamentals", ["date", "ticker", *RATIO_COLUMNS], _parse_ratios))
 
 
 def align_forward_fill(prices: PriceTable, fundamentals: FundamentalsTable) -> MarketDataset:

@@ -235,15 +235,16 @@ class TradingEnv:
         self.trace: list[dict] = []
         vectors = [self._day_vector(day) for day in range(self.start, self.start + cfg.window_length)]
         self.observation = init_window(vectors, expected_length=cfg.window_length)
-        self._record_trace(reward=0.0, costs=0.0)
+        self._record_trace(portfolio_value(self.state, self.dataset.close[self.state.day_index]), 0.0, 0.0)
         return self.observation
 
-    def _record_trace(self, reward: float, costs: float) -> None:
+    def _record_trace(self, value: float, reward: float, costs: float) -> None:
+        """Append the ledger row of the current day, whose portfolio value is ``value``."""
         day = self.state.day_index
         row = {
             "day": self.dataset.days[day].isoformat(),
             "balance": self.state.balance,
-            "portfolio_value": portfolio_value(self.state, self.dataset.close[day]),
+            "portfolio_value": value,
             "reward": reward,
             "costs": costs,
             "turbulence": float(self._turbulence[day]),
@@ -259,7 +260,7 @@ class TradingEnv:
         day = self.state.day_index
         prices = self.dataset.close[day]
 
-        value_before = portfolio_value(self.state, prices)
+        value_before = self.trace[-1]["portfolio_value"]  # today's row, same state and prices
         deltas = decode_action(action, cfg.hmax)
         self.state, costs, executed = execute_trades(self.state, deltas, prices, cfg.cost_rate)
 
@@ -271,7 +272,7 @@ class TradingEnv:
 
         self.observation = slide_window(self.observation, self._day_vector(new_day))
         self.done = new_day == self.dataset.n_days - 1
-        self._record_trace(reward=reward, costs=costs)
+        self._record_trace(value_after, reward, costs)
 
         info = {
             "day_index": new_day,

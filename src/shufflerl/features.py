@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from shufflerl.data import RATIO_COUNT
 from shufflerl.errors import NonFiniteError, ShuffleRlError
-
-RATIOS_PER_TICKER = 15
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,6 @@ class FeatureLayout:
     """Index arithmetic for the canonical daily feature vector."""
 
     ticker_count: int
-    ratio_count: int = RATIOS_PER_TICKER
 
     def __post_init__(self):
         if self.ticker_count < 1:
@@ -41,7 +39,7 @@ class FeatureLayout:
 
     @property
     def total(self) -> int:
-        return 1 + 2 * self.ticker_count + self.ratio_count * self.ticker_count
+        return 1 + (2 + RATIO_COUNT) * self.ticker_count
 
     def price_index(self, ticker: int) -> int:
         return 1 + ticker
@@ -108,8 +106,8 @@ def build_feature_vector(
         raise ShuffleRlError(
             f"expected {d} prices and holdings, got {prices.shape} and {holdings.shape}"
         )
-    if ratios.shape != (layout.ratio_count, d):
-        raise ShuffleRlError(f"expected ratios shaped ({layout.ratio_count}, {d}), got {ratios.shape}")
+    if ratios.shape != (RATIO_COUNT, d):
+        raise ShuffleRlError(f"expected ratios shaped ({RATIO_COUNT}, {d}), got {ratios.shape}")
     if scale <= 0:
         raise ShuffleRlError(f"scale must be positive, got {scale}")
     if not np.all(prices > 0):
@@ -133,14 +131,14 @@ def ticker_block_permutation(layout: FeatureLayout) -> PermutationSpec:
     in canonical ratio order. The balance stays at position 0.
     """
     d = layout.ticker_count
-    block = 2 + layout.ratio_count
+    block = 2 + RATIO_COUNT
     perm = np.empty(layout.total, dtype=np.int64)
     perm[0] = 0
     for i in range(d):
         base = 1 + block * i
         perm[base] = layout.price_index(i)
         perm[base + 1] = layout.holding_index(i)
-        for j in range(layout.ratio_count):
+        for j in range(RATIO_COUNT):
             perm[base + 2 + j] = layout.ratio_index(j, i)
     return PermutationSpec(perm)
 

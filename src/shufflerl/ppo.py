@@ -14,7 +14,7 @@ parameter init is seeded separately from the same config seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -391,8 +391,7 @@ def update(
             # allocates its activations.
             del grads
             diagnostics.append(diag)
-    keys = ("loss", "policy_loss", "value_loss", "entropy", "clip_fraction", "approx_kl")
-    stats = {k: float(np.mean([getattr(d, k) for d in diagnostics])) for k in keys}
+    stats = {k.name: float(np.mean([getattr(d, k.name) for d in diagnostics])) for k in fields(LossDiagnostics)}
     stats["grad_norm"] = float(np.mean(grad_norms))
     stats["explained_variance"] = float(explained_variance)
     return stats
@@ -496,16 +495,8 @@ class EvalReport:
     value_series: list[float]
 
     def to_dict(self) -> dict:
-        return {
-            "cumulative_reward": self.cumulative_reward,
-            "discounted_return": self.discounted_return,
-            "cumulative_return": self.cumulative_return,
-            "sharpe_annualized": self.sharpe_annualized,
-            "sharpe_raw": self.sharpe_raw,
-            "total_costs": self.total_costs,
-            "final_value": self.final_value,
-            "n_steps": self.n_steps,
-        }
+        """Every field but ``value_series``."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "value_series"}
 
 
 def evaluate(

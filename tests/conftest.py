@@ -1,10 +1,13 @@
+import math
 from datetime import date, timedelta
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from shufflerl.data import RATIO_COUNT, MarketDataset, TurbulenceSeries
 from shufflerl.features import PermutationSpec
+from shufflerl.ppo import policy_mean
 
 
 def weekday_calendar(n, start=date(2020, 1, 6)):
@@ -37,6 +40,35 @@ def invert_permutation(spec: PermutationSpec) -> PermutationSpec:
 def defined_mask(series: TurbulenceSeries) -> np.ndarray:
     """Days whose turbulence is defined (past the lookback)."""
     return np.isfinite(series.values)
+
+
+class SignBandit:
+    """Context +-1; reward +1 when the action's sign matches it, else -1.
+
+    One step per episode; used to check the policy-gradient direction."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def reset(self):
+        self.context = 1.0 if self.rng.integers(2) == 1 else -1.0
+        return np.array([self.context])
+
+    def step(self, action):
+        reward = 1.0 if float(action[0]) * self.context > 0 else -1.0
+        return SimpleNamespace(observation=self.reset(), reward=reward, done=True, info={})
+
+
+def optimal_action_probability(net):
+    """P(sign(action) == context), averaged over both contexts, closed form."""
+    sigma = float(np.exp(net.effective_log_std()[0]))
+    mu_pos = float(policy_mean(net, np.array([1.0]))[0])
+    mu_neg = float(policy_mean(net, np.array([-1.0]))[0])
+
+    def phi(z):
+        return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+
+    return 0.5 * (phi(mu_pos / sigma) + phi(-mu_neg / sigma))
 
 
 @pytest.fixture

@@ -10,12 +10,11 @@ import itertools
 import json
 import math
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import invert_permutation, make_dataset
+from conftest import SignBandit, invert_permutation, make_dataset, optimal_action_probability
 from ledger_oracle import oracle_episode
 from shufflerl.cli import main as cli_main
 from shufflerl.data import generate_synthetic_market
@@ -39,7 +38,7 @@ from shufflerl.nn import (
     cnn_feature_shapes,
     grad_check,
 )
-from shufflerl.ppo import AgentSpec, PpoConfig, evaluate, policy_mean, train, train_on_env
+from shufflerl.ppo import AgentSpec, PpoConfig, evaluate, train, train_on_env
 
 
 def report(name, ok, detail=""):
@@ -272,32 +271,6 @@ def test_criterion_7_shape_contract():
     embedding, _ = extractor.forward(x)
     ok &= embedding.shape == (1, 256)
     report("7 shape contract: (1,1,90,511) -> (16,21,126) -> (32,9,62) -> 256", ok)
-
-
-class SignBandit:
-    """Context +-1, one step per episode, reward +-1 for sign agreement."""
-
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-
-    def reset(self):
-        self.context = 1.0 if self.rng.integers(2) == 1 else -1.0
-        return np.array([self.context])
-
-    def step(self, action):
-        reward = 1.0 if float(action[0]) * self.context > 0 else -1.0
-        return SimpleNamespace(observation=self.reset(), reward=reward, done=True, info={})
-
-
-def optimal_action_probability(net):
-    sigma = float(np.exp(net.effective_log_std()[0]))
-    mu_pos = float(policy_mean(net, np.array([1.0]))[0])
-    mu_neg = float(policy_mean(net, np.array([-1.0]))[0])
-
-    def phi(z):
-        return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-
-    return 0.5 * (phi(mu_pos / sigma) + phi(-mu_neg / sigma))
 
 
 def test_criterion_8_ppo_bandit():

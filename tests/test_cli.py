@@ -377,6 +377,24 @@ class TestCliTrain:
         assert rc == 1
         assert "gamma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, content, message", [
+        ("metadata.json", "{not json", "metadata.json is not valid JSON"),
+        ("metadata.json", "[1]", "metadata.json is not a JSON object"),
+        ("prices.csv", None, "prices.csv: cannot read archive file"),  # None deletes the file
+        ("fundamentals.csv", None, "fundamentals.csv: cannot read archive file"),
+    ])
+    def test_malformed_archive_is_data_error(self, tmp_path, archive, capsys, name, content, message):
+        if content is None:
+            (archive / name).unlink()
+        else:
+            (archive / name).write_text(content)
+        cfg_path = tmp_path / "cfg.json"
+        write_json(cfg_path, base_config(archive, out=tmp_path / "run", agent=MLP_AGENT))
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and message in err
+        assert not (tmp_path / "run" / "runs").exists()
+
     def test_missing_out_is_config_error(self, tmp_path, archive, capsys):
         cfg_path = tmp_path / "cfg.json"
         write_json(cfg_path, base_config(archive, agent=MLP_AGENT))
@@ -494,6 +512,8 @@ class TestCliEvaluate:
         ("action_dim", "2", "checkpoint.action_dim: expected int, got str"),
         ("tensors", "fc1.weight", "checkpoint.tensors: expected list, got str"),
         ("tensors", [{"name": "fc1.weight"}], "checkpoint.tensors[0] has no 'shape'"),
+        ("metadata", None, "checkpoint has no 'metadata'"),
+        ("metadata", [1], "checkpoint.metadata: expected dict, got list"),
     ])
     def test_malformed_manifest_field_is_config_error(self, tmp_path, archive, capsys, key, value, message):
         ckpt = self._train(tmp_path, archive)
@@ -508,6 +528,24 @@ class TestCliEvaluate:
                    "--split", "train", "--out", str(tmp_path / "eval")])
         assert rc == 1
         assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, content, rc, message", [
+        ("manifest.json", "{not json", 1, "config error: checkpoint manifest.json is not valid JSON"),
+        ("manifest.json", "[1]", 1, "config error: checkpoint manifest.json is not a JSON object"),
+        ("manifest.json", None, 3, "error: no readable manifest.json in"),  # None deletes the file
+        ("params.bin", None, 3, "error: no readable params.bin in"),
+    ])
+    def test_unreadable_checkpoint_is_one_error_line(self, tmp_path, archive, capsys, name, content, rc, message):
+        ckpt = self._train(tmp_path, archive)
+        if content is None:
+            (ckpt / name).unlink()
+        else:
+            (ckpt / name).write_text(content)
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--dataset", str(archive),
+                     "--split", "train", "--out", str(tmp_path / "eval")]) == rc
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
 
     def test_synthetic_run_matches_its_synth_archive(self, tmp_path, capsys):
         cfg = {**base_config(None, out=tmp_path / "run", agent=MLP_AGENT),
@@ -626,6 +664,27 @@ class TestCliCompare:
         manifest = json.loads((tmp_path / "cmp" / "manifest.json").read_text())
         assert {run["agent"]: run["reused"] for run in manifest["runs"]} == {"mlp": True, "cnn": False}
         assert json.loads(manifest_path.read_text())["source_hash"] != "0" * 64
+
+    @pytest.mark.parametrize("edit", ["drop seed", "not json", "no blob"])
+    def test_checkpoint_that_fails_to_load_retrains(self, tmp_path, archive, capsys, edit):
+        path = self._two_agents(tmp_path, archive, 32)
+        assert main(["compare", "--config", str(path)]) == 0
+        checkpoint = tmp_path / "cmp" / "runs" / "cnn-seed0" / "checkpoint"
+        original = (checkpoint / "manifest.json").read_bytes()
+        manifest = json.loads(original)
+        if edit == "drop seed":
+            del manifest["seed"]
+            (checkpoint / "manifest.json").write_text(json.dumps(manifest))
+        elif edit == "not json":
+            (checkpoint / "manifest.json").write_text("{not json")
+        else:
+            (checkpoint / "params.bin").unlink()
+        capsys.readouterr()
+        assert main(["compare", "--config", str(path)]) == 0
+        assert "reused 1 cached run(s)" in capsys.readouterr().out
+        runs = json.loads((tmp_path / "cmp" / "manifest.json").read_text())["runs"]
+        assert {run["agent"]: run["reused"] for run in runs} == {"mlp": True, "cnn": False}
+        assert (checkpoint / "manifest.json").read_bytes() == original
 
     def test_changed_architecture_retrains(self, tmp_path, archive, capsys):
         # The log-std bounds change no tensor shape, so the blob size still

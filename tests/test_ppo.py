@@ -1,11 +1,10 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import make_dataset
+from conftest import SignBandit, make_dataset, optimal_action_probability
 from shufflerl import ppo
 from shufflerl.data import generate_synthetic_market
 from shufflerl.env import EnvConfig, TradingEnv
@@ -62,35 +61,6 @@ class WholeTensorAdam:
             v *= self.beta2
             v += (1.0 - self.beta2) * g**2
             param -= self.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-
-
-class SignBandit:
-    """Context +-1; reward +1 when the action's sign matches it, else -1.
-
-    One step per episode; used to check the policy-gradient direction."""
-
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-
-    def reset(self):
-        self.context = 1.0 if self.rng.integers(2) == 1 else -1.0
-        return np.array([self.context])
-
-    def step(self, action):
-        reward = 1.0 if float(action[0]) * self.context > 0 else -1.0
-        return SimpleNamespace(observation=self.reset(), reward=reward, done=True, info={})
-
-
-def optimal_action_probability(net):
-    """P(sign(action) == context), averaged over both contexts, closed form."""
-    sigma = float(np.exp(net.effective_log_std()[0]))
-    mu_pos = float(policy_mean(net, np.array([1.0]))[0])
-    mu_neg = float(policy_mean(net, np.array([-1.0]))[0])
-
-    def phi(z):
-        return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-
-    return 0.5 * (phi(mu_pos / sigma) + phi(-mu_neg / sigma))
 
 
 class TestConfig:
