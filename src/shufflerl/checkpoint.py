@@ -118,8 +118,9 @@ def load_checkpoint(directory) -> tuple[ActorCritic, dict]:
             raise ConfigError(f"checkpoint {MANIFEST_NAME} is not valid JSON ({exc})") from None
     if not isinstance(manifest, dict):
         raise ConfigError(f"checkpoint {MANIFEST_NAME} is not a JSON object")
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise ShuffleRlError(f"unsupported checkpoint format {manifest.get('format_version')}")
+    version = _required(manifest, "checkpoint", "format_version", int)
+    if version != FORMAT_VERSION:
+        raise ShuffleRlError(f"unsupported checkpoint format {version}")
     arch = read_section("checkpoint architecture", ArchSpec, manifest.get("architecture"))
     dtype = _dtype(manifest)
     obs_shape = _required(manifest, "checkpoint", "observation_shape", tuple[int, ...])

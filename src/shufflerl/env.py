@@ -6,6 +6,11 @@ ticker order), advance one day, value again at the new prices, and emit the
 value change (scaled) as the reward together with the slid window
 observation. Balance and holdings can never go negative: sells cap at
 current holdings, buys at affordability.
+
+``TradingEnv.trace`` is the episode's one record: ``reset`` writes the
+start day's ledger row and every ``step`` appends the new day's (date,
+balance, portfolio value, reward, fees, turbulence, holdings). ``step``
+itself returns only the observation, the reward and the done flag.
 """
 
 from __future__ import annotations
@@ -82,7 +87,6 @@ class StepResult:
     observation: WindowMatrix
     reward: float
     done: bool
-    info: dict
 
 
 def portfolio_value(state: PortfolioState, prices: np.ndarray) -> float:
@@ -262,7 +266,7 @@ class TradingEnv:
 
         value_before = self.trace[-1]["portfolio_value"]  # today's row, same state and prices
         deltas = decode_action(action, cfg.hmax)
-        self.state, costs, executed = execute_trades(self.state, deltas, prices, cfg.cost_rate)
+        self.state, costs, _ = execute_trades(self.state, deltas, prices, cfg.cost_rate)
 
         new_day = day + 1
         self.state = replace(self.state, day_index=new_day)
@@ -273,18 +277,7 @@ class TradingEnv:
         self.observation = slide_window(self.observation, self._day_vector(new_day))
         self.done = new_day == self.dataset.n_days - 1
         self._record_trace(value_after, reward, costs)
-
-        info = {
-            "day_index": new_day,
-            "date": self.dataset.days[new_day].isoformat(),
-            "portfolio_value": value_after,
-            "value_before": value_before,
-            "costs": costs,
-            "total_costs": self.state.trade_cost_accum,
-            "executed_deltas": executed,
-            "turbulence": float(self._turbulence[new_day]),
-        }
-        return StepResult(self.observation, reward, self.done, info)
+        return StepResult(self.observation, reward, self.done)
 
     @property
     def steps_remaining(self) -> int:
@@ -307,19 +300,9 @@ def _csv_cell(value):
     return value
 
 
-@dataclass
-class EpisodeResult:
-    rewards: list[float]
-    discounted_return: float
-    values: list[float]
-
-    @property
-    def total_reward(self) -> float:
-        return float(sum(self.rewards))
-
-
-def run_episode(env: TradingEnv, policy, gamma: float) -> EpisodeResult:
-    """Roll one full episode under ``policy`` (a map observation -> action).
+def run_episode(env: TradingEnv, policy, gamma: float) -> float:
+    """Roll one full episode under ``policy`` (a map observation -> action)
+    and return its discounted return; ``env.trace`` holds the episode.
 
     The discounted return weights the d-th reward by ``gamma**(d-1)``, so
     the first reward always counts in full.
@@ -327,16 +310,11 @@ def run_episode(env: TradingEnv, policy, gamma: float) -> EpisodeResult:
     if not 0.0 <= gamma <= 1.0:
         raise ShuffleRlError(f"gamma must be in [0, 1], got {gamma}")
     obs = env.reset()
-    start_day = env.state.day_index
-    rewards: list[float] = []
-    values = [portfolio_value(env.state, env.dataset.close[start_day])]
+    while not env.done:
+        obs = env.step(policy(obs)).observation
     discounted = 0.0
     weight = 1.0
-    while not env.done:
-        result = env.step(policy(obs))
-        obs = result.observation
-        rewards.append(result.reward)
-        values.append(result.info["portfolio_value"])
-        discounted += weight * result.reward
+    for row in env.trace[1:]:
+        discounted += weight * row["reward"]
         weight *= gamma
-    return EpisodeResult(rewards, discounted, values)
+    return discounted

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from shufflerl.data import MarketDataset
-from shufflerl.env import EnvConfig, EpisodeResult, TradingEnv, run_episode
+from shufflerl.env import EnvConfig, TradingEnv, run_episode
 from shufflerl.errors import NonFiniteError, ShuffleRlError
 from shufflerl.features import FeatureLayout, WindowMatrix, ticker_block_permutation
 from shufflerl.metrics import metrics_report
@@ -478,7 +478,7 @@ def train(
     """Train one agent on one market stream (single env, deterministic)."""
     env_config = make_env_config(env_config, agent, dataset.ticker_count)
     env = TradingEnv(dataset, env_config)
-    obs_shape = (env_config.window_length, FeatureLayout(dataset.ticker_count).total)
+    obs_shape = env.observation.rows.shape
     return train_on_env(env, obs_shape, dataset.ticker_count, agent.resolve_arch(), config)
 
 
@@ -506,10 +506,10 @@ def evaluate(
     gamma: float = 0.99,
 ) -> tuple[EvalReport, TradingEnv]:
     """Deterministic evaluation: the action is the policy mean, batch-norm
-    uses its running statistics. Returns the report and the env (whose
-    trace holds the daily ledger for CSV export)."""
+    uses its running statistics. Returns the report, read off the env's
+    ledger (``env.trace``), and the env, for CSV export of that ledger."""
     env = TradingEnv(dataset, env_config)
-    expected = (env_config.window_length, FeatureLayout(dataset.ticker_count).total)
+    expected = env.observation.rows.shape
     if tuple(net.obs_shape) != expected:
         raise ShuffleRlError(
             f"checkpoint expects observations {net.obs_shape}, environment emits {expected}"
@@ -517,22 +517,22 @@ def evaluate(
     was_training = net.training
     net.set_training(False)
     try:
-        episode: EpisodeResult = run_episode(env, lambda obs: policy_mean(net, obs), gamma)
+        discounted = run_episode(env, lambda obs: policy_mean(net, obs), gamma)
     finally:
         net.set_training(was_training)
-    values = episode.values
+    values = [row["portfolio_value"] for row in env.trace]
     metrics = metrics_report(values)
     return (
         EvalReport(
-            cumulative_reward=episode.total_reward,
-            discounted_return=episode.discounted_return,
+            cumulative_reward=float(sum(row["reward"] for row in env.trace[1:])),
+            discounted_return=discounted,
             cumulative_return=metrics.cumulative_return,
             sharpe_annualized=metrics.sharpe_annualized,
             sharpe_raw=metrics.sharpe_raw,
             total_costs=env.state.trade_cost_accum,
             final_value=values[-1],
-            n_steps=len(episode.rewards),
-            value_series=list(values),
+            n_steps=len(env.trace) - 1,
+            value_series=values,
         ),
         env,
     )

@@ -171,7 +171,7 @@ def test_criterion_4_env_fuzz():
             steps += 1
             ok &= env.state.balance >= 0.0
             ok &= bool(np.all(env.state.holdings >= 0))
-            dv = result.info["portfolio_value"] - result.info["value_before"]
+            dv = env.trace[-1]["portfolio_value"] - env.trace[-2]["portfolio_value"]
             descaled = result.reward / config.reward_scale
             ok &= abs(descaled - dv) <= 1e-9 * max(1.0, abs(dv))
         if not ok:
@@ -393,15 +393,16 @@ def test_criterion_11_metrics_oracles():
         calls["n"] += 1
         return np.array([1.0]) if calls["n"] == 1 else np.array([0.0])
 
-    episode = run_episode(TradingEnv(dataset, config), buy_once, gamma=0.5)
-    ok &= episode.rewards == [1.0, 2.0]
-    ok &= episode.discounted_return == 2.0
+    env = TradingEnv(dataset, config)
+    discounted = run_episode(env, buy_once, gamma=0.5)
+    ok &= [row["reward"] for row in env.trace[1:]] == [1.0, 2.0]
+    ok &= discounted == 2.0
 
     # second hand sequence: gamma 1 plain sum; gamma 0 keeps the first reward
     calls["n"] = 0
-    ok &= run_episode(TradingEnv(dataset, config), buy_once, gamma=1.0).discounted_return == 3.0
+    ok &= run_episode(TradingEnv(dataset, config), buy_once, gamma=1.0) == 3.0
     calls["n"] = 0
-    ok &= run_episode(TradingEnv(dataset, config), buy_once, gamma=0.0).discounted_return == 1.0
+    ok &= run_episode(TradingEnv(dataset, config), buy_once, gamma=0.0) == 1.0
     report("11 metrics: Sharpe vs oracle at 1e-12; discounted return exact", ok,
            f"sharpe={sharpe!r}")
 

@@ -514,6 +514,8 @@ class TestCliEvaluate:
         ("tensors", [{"name": "fc1.weight"}], "checkpoint.tensors[0] has no 'shape'"),
         ("metadata", None, "checkpoint has no 'metadata'"),
         ("metadata", [1], "checkpoint.metadata: expected dict, got list"),
+        ("format_version", True, "checkpoint.format_version: expected int, got bool"),
+        ("format_version", 1.0, "checkpoint.format_version: expected int, got float"),
     ])
     def test_malformed_manifest_field_is_config_error(self, tmp_path, archive, capsys, key, value, message):
         ckpt = self._train(tmp_path, archive)

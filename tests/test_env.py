@@ -30,6 +30,12 @@ def state(balance=0.0, holdings=(0,), day=0):
     return PortfolioState(balance=balance, holdings=np.array(holdings, dtype=np.int64), day_index=day)
 
 
+def executed_deltas(env):
+    """The share deltas of the last step: the change in the ledger's holdings columns."""
+    before, after = env.trace[-2], env.trace[-1]
+    return [after[f"holdings_{t}"] - before[f"holdings_{t}"] for t in env.dataset.tickers]
+
+
 class TestEnvConfig:
     def test_defaults(self):
         cfg = EnvConfig()
@@ -238,15 +244,15 @@ class TestStep:
         assert env.state.trade_cost_accum == 0.0
         assert env.state.holdings.tolist() == [0, 0]
 
-    def test_info_contents(self, toy_market):
+    def test_ledger_row_contents(self, toy_market):
         env = TradingEnv(toy_market, small_config())
-        result = env.step(np.array([1.0, 0.0]))
-        info = result.info
-        assert info["day_index"] == 2
-        assert info["executed_deltas"].tolist() == [2, 0]
-        assert info["costs"] > 0.0
-        assert math.isnan(info["turbulence"])
-        assert info["portfolio_value"] == pytest.approx(
+        env.step(np.array([1.0, 0.0]))
+        row = env.trace[-1]
+        assert env.state.day_index == 2
+        assert executed_deltas(env) == [2, 0]
+        assert row["costs"] > 0.0
+        assert math.isnan(row["turbulence"])
+        assert row["portfolio_value"] == pytest.approx(
             env.state.balance + float(np.dot(toy_market.close[2], env.state.holdings))
         )
 
@@ -255,7 +261,7 @@ class TestStep:
         rng = np.random.default_rng(0)
         while not env.done:
             result = env.step(rng.uniform(-1, 1, size=2))
-            dv = result.info["portfolio_value"] - result.info["value_before"]
+            dv = env.trace[-1]["portfolio_value"] - env.trace[-2]["portfolio_value"]
             assert result.reward * 1e6 == pytest.approx(dv, rel=1e-9, abs=1e-15)
 
     def test_observation_no_lookahead(self, toy_market):
@@ -304,16 +310,17 @@ class TestStep:
         )
         dataset = make_dataset(np.abs(close) + 1.0)
         env = TradingEnv(dataset, small_config(turbulence_lookback=4, window_length=8))
-        values = []
         while not env.done:
-            values.append(env.step(np.zeros(1)).info["turbulence"])
+            env.step(np.zeros(1))
+        values = [row["turbulence"] for row in env.trace[1:]]
         assert all(np.isfinite(v) for v in values)  # cursor starts past the lookback
         assert all(v >= 0 for v in values)
 
     def test_short_dataset_logs_nan_turbulence(self):
         dataset = make_dataset(np.linspace(10.0, 12.0, 30).reshape(30, 1))
         env = TradingEnv(dataset, small_config(turbulence_lookback=40, window_length=8))
-        assert math.isnan(env.step(np.zeros(1)).info["turbulence"])
+        env.step(np.zeros(1))
+        assert math.isnan(env.trace[-1]["turbulence"])
 
     def test_lookback_too_small_for_tickers_raises(self, toy_market):
         # Two tickers need a lookback of at least D + 2 = 4.
@@ -327,8 +334,8 @@ class TestLedgerProperties:
         env = TradingEnv(flat_market, cfg)
         rng = np.random.default_rng(5)
         while not env.done:
-            result = env.step(rng.uniform(-1, 1, size=2))
-            assert result.info["portfolio_value"] == pytest.approx(100.0, abs=1e-9)
+            env.step(rng.uniform(-1, 1, size=2))
+            assert env.trace[-1]["portfolio_value"] == pytest.approx(100.0, abs=1e-9)
 
     def test_cost_accounting_identity(self, toy_market):
         env = TradingEnv(toy_market, small_config(cost_rate=0.01))
@@ -336,16 +343,16 @@ class TestLedgerProperties:
         while not env.done:
             before = env.state
             day = before.day_index
-            result = env.step(rng.uniform(-1, 1, size=2))
+            env.step(rng.uniform(-1, 1, size=2))
             # replay the executed trades with zero cost
-            executed = result.info["executed_deltas"]
+            executed = executed_deltas(env)
             free_state, _, free_exec = execute_trades(
                 before, executed, toy_market.close[day], cost_rate=0.0
             )
             np.testing.assert_array_equal(free_exec, executed)
             v_free = portfolio_value(free_state, toy_market.close[day + 1])
-            v_paid = result.info["portfolio_value"]
-            assert v_paid == pytest.approx(v_free - result.info["costs"], rel=1e-12)
+            v_paid = env.trace[-1]["portfolio_value"]
+            assert v_paid == pytest.approx(v_free - env.trace[-1]["costs"], rel=1e-12)
 
     def test_fuzz_nonnegative(self, toy_market):
         rng = np.random.default_rng(7)
@@ -403,21 +410,19 @@ class TestRunEpisode:
     def test_hand_discounted_return(self):
         # rewards (2, 8, 20): gamma 0.5 -> 2 + 4 + 5 = 11
         env = TradingEnv(self._uptrend(), self._cfg())
-        episode = run_episode(env, self._buy_once_policy(), gamma=0.5)
-        assert episode.rewards == pytest.approx([2.0, 8.0, 20.0])
-        assert episode.discounted_return == pytest.approx(11.0)
-        assert episode.values == pytest.approx([100.0, 102.0, 110.0, 130.0])
+        discounted = run_episode(env, self._buy_once_policy(), gamma=0.5)
+        assert [row["reward"] for row in env.trace[1:]] == pytest.approx([2.0, 8.0, 20.0])
+        assert discounted == pytest.approx(11.0)
+        assert [row["portfolio_value"] for row in env.trace] == pytest.approx([100.0, 102.0, 110.0, 130.0])
 
     def test_gamma_zero_keeps_first_reward(self):
         env = TradingEnv(self._uptrend(), self._cfg())
-        episode = run_episode(env, self._buy_once_policy(), gamma=0.0)
-        assert episode.discounted_return == pytest.approx(2.0)
+        assert run_episode(env, self._buy_once_policy(), gamma=0.0) == pytest.approx(2.0)
 
     def test_gamma_one_plain_sum(self):
         env = TradingEnv(self._uptrend(), self._cfg())
-        episode = run_episode(env, self._buy_once_policy(), gamma=1.0)
-        assert episode.discounted_return == pytest.approx(30.0)
-        assert episode.total_reward == pytest.approx(30.0)
+        assert run_episode(env, self._buy_once_policy(), gamma=1.0) == pytest.approx(30.0)
+        assert float(sum(row["reward"] for row in env.trace[1:])) == pytest.approx(30.0)
 
     def test_bad_gamma(self):
         env = TradingEnv(self._uptrend(), self._cfg())

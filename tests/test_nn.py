@@ -674,6 +674,15 @@ class TestCheckpoint:
         with pytest.raises(ShuffleRlError, match="unsupported checkpoint dtype"):
             load_checkpoint(tmp_path / "ckpt")
 
+    def test_unknown_format_version_rejected(self, tmp_path):
+        save_checkpoint(tmp_path / "ckpt", ActorCritic(TOY_ARCH, (6, 8), 3, seed=5))
+        manifest_path = tmp_path / "ckpt" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format_version"] = 2
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ShuffleRlError, match="unsupported checkpoint format 2$"):
+            load_checkpoint(tmp_path / "ckpt")
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_load_draws_no_initial_weights(self, tmp_path, monkeypatch, dtype):
         net = ActorCritic(TOY_ARCH, (6, 8), 3, seed=5, dtype=dtype)

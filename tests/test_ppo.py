@@ -590,3 +590,15 @@ class TestEvaluate:
         net = ActorCritic(MLP_ARCH, (4, 18), 1, seed=0)
         with pytest.raises(InsufficientHistoryError):
             evaluate(net, dataset, env_cfg)
+
+    def test_report_reads_the_ledger(self):
+        dataset = generate_synthetic_market(seed=1, tickers=2, days=40, drift=0.001, volatility=0.01)
+        spec = AgentSpec(kind="cnn-shuffled", arch=TOY_CNN_ARCH)
+        env_cfg = make_env_config(EnvConfig(window_length=5, turbulence_lookback=None), spec, 2)
+        cfg = PpoConfig(total_timesteps=32, rollout_length=32, minibatch_size=16, epochs_per_update=1, seed=0)
+        net = train(dataset, env_cfg, spec, cfg).net
+        report, env = evaluate(net, dataset, env_cfg)
+        assert report.value_series == [r["portfolio_value"] for r in env.trace]
+        assert report.n_steps == len(env.trace) - 1
+        assert report.cumulative_reward == float(sum(r["reward"] for r in env.trace[1:]))
+        assert report.final_value == env.trace[-1]["portfolio_value"]
