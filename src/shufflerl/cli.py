@@ -33,14 +33,7 @@ from shufflerl.env import EnvConfig
 from shufflerl.errors import ConfigError, DataError, ShuffleRlError
 from shufflerl.metrics import compare_runs, metrics_report, write_aligned_curves_csv
 from shufflerl.nn import ArchSpec
-from shufflerl.ppo import (
-    AGENT_KINDS,
-    AgentSpec,
-    TrainResult,
-    evaluate,
-    make_env_config,
-    train,
-)
+from shufflerl.ppo import AgentSpec, TrainResult, evaluate, make_env_config, train
 from shufflerl.runconfig import (
     RunConfig,
     SplitSpec,
@@ -63,13 +56,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_curve_csv(path: Path, rows) -> None:
-    """``CURVE_HEADER`` rows (agent, seed, timestep, episode, reward); the
-    reward is written as its ``repr``, so it reads back bit-exact."""
+    """``CURVE_HEADER`` rows (agent, seed, timestep, episode, reward); csv
+    writes the float reward as its ``repr``, so it reads back bit-exact."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(CURVE_HEADER)
-        for agent, seed, timestep, episode, reward in rows:
-            writer.writerow([agent, seed, timestep, episode, repr(float(reward))])
+        writer.writerows(rows)
 
 
 def _write_stats_jsonl(path: Path, stats: list[dict]) -> None:
@@ -162,19 +154,17 @@ def _write_manifest(
 
 
 def _prepare_training(args, require_comparison: bool) -> tuple[RunConfig, MarketDataset, str, Path]:
-    config = load_run_config(args.config, require_comparison=require_comparison)
-    if getattr(args, "seed", None) is not None:
+    config = load_run_config(args.config)
+    if args.seed is not None:
         config = replace(config, seeds=(args.seed,))
-    if getattr(args, "agent", None) is not None:
-        config = replace(config, agents=(AgentSpec(kind=args.agent),))
     out = args.out or config.out
     if out is None:
         raise ConfigError("no output directory: pass --out or set 'out' in the config")
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     dataset, fingerprint = materialize_dataset(config.dataset)
     train_split, _ = resolve_split(dataset, config.split)
     if require_comparison:
+        if len(config.agents) < 2:
+            raise ConfigError(f"comparison needs at least 2 agents, got {len(config.agents)}")
         trained = config.ppo.total_timesteps // config.ppo.rollout_length * config.ppo.rollout_length
         episode = train_split.n_days - config.env.window_length
         if trained < episode:
@@ -182,6 +172,8 @@ def _prepare_training(args, require_comparison: bool) -> tuple[RunConfig, Market
                 f"{trained} trained steps cannot finish one {episode}-step episode of the training "
                 f"split, so no run would have a curve to compare: raise ppo.total_timesteps"
             )
+    out_dir = Path(out)  # made only once every check has passed
+    out_dir.mkdir(parents=True, exist_ok=True)
     return config, train_split, fingerprint, out_dir
 
 
@@ -227,17 +219,16 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.tickers < 1:
-        raise _UsageError(f"--tickers must be >= 1, got {args.tickers}")
-    if args.days < 1:
-        raise _UsageError(f"--days must be >= 1, got {args.days}")
-    dataset = generate_synthetic_market(
-        seed=args.seed,
-        tickers=args.tickers,
-        days=args.days,
-        drift=args.drift,
-        volatility=args.volatility,
-    )
+    try:
+        dataset = generate_synthetic_market(
+            seed=args.seed,
+            tickers=args.tickers,
+            days=args.days,
+            drift=args.drift,
+            volatility=args.volatility,
+        )
+    except DataError as exc:  # a bad flag value, not bad data
+        raise _UsageError(str(exc)) from None
     default_window = EnvConfig().window_length
     if args.days < default_window + 1:
         print(
@@ -333,14 +324,11 @@ def cmd_compare(args) -> int:
         writer = csv.writer(handle)
         writer.writerow(["label", "final_reward", "mean_reward", "peak_reward", "n_points"])
         for row in table.rows:
-            writer.writerow(
-                [row.label, repr(row.final_reward), repr(row.mean_reward), repr(row.peak_reward), row.n_points]
-            )
+            writer.writerow([row.label, row.final_reward, row.mean_reward, row.peak_reward, row.n_points])
     with open(out_dir / "pairwise.csv", "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["pair", "final_reward_difference"])
-        for pair, diff in table.pairwise_final_diff.items():
-            writer.writerow([pair, repr(diff)])
+        writer.writerows(table.pairwise_final_diff.items())
     reused = sum(1 for run in runs if run["reused"])
     if reused:
         print(f"reused {reused} cached run(s)")
@@ -373,7 +361,6 @@ def build_parser() -> _Parser:
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--out", help="output directory (overrides config)")
     p_train.add_argument("--seed", type=int, help="train this single seed instead of the config list")
-    p_train.add_argument("--agent", choices=AGENT_KINDS, help="agent kind (overrides config)")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("evaluate", help="evaluate a checkpoint on a dataset archive")

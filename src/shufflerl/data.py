@@ -5,7 +5,9 @@ Two input files feed the lab. A price CSV with header ``date,ticker,close``
 (one row per day/ticker pair, ISO-8601 dates) and a fundamentals CSV with
 ``date,ticker`` followed by the fifteen ratio columns of
 :data:`RATIO_COLUMNS`, in that order. Fundamentals are sparse in time
-(typically quarterly); alignment forward-fills them onto the daily grid.
+(typically quarterly). The loaders return plain dicts keyed by
+``(date, ticker)``, and alignment forward-fills the fundamentals onto the
+daily grid of the prices.
 
 Only dates present in the price file count as trading days; there is no
 exchange-calendar logic.
@@ -51,38 +53,6 @@ SYNTH_VOLATILITY = 0.01
 _SYNTH_RATIO_BASE = np.array(
     [1.5, 0.6, 1.1, 0.5, 1.2, 6.0, 8.0, 7.0, 0.15, 0.10, 0.07, 0.14, 5.0, 30.0, 1.5]
 )
-
-
-@dataclass(frozen=True)
-class PriceTable:
-    """Parsed price rows keyed by (date, ticker)."""
-
-    close: dict[tuple[date, str], float]
-
-    @property
-    def tickers(self) -> list[str]:
-        return sorted({t for _, t in self.close})
-
-    @property
-    def days(self) -> list[date]:
-        return sorted({d for d, _ in self.close})
-
-
-@dataclass(frozen=True)
-class FundamentalsTable:
-    """Sparse ratio observations keyed by (date, ticker); values are
-    length-15 arrays in :data:`RATIO_COLUMNS` order."""
-
-    ratios: dict[tuple[date, str], np.ndarray]
-
-    def by_ticker(self) -> dict[str, list[tuple[date, np.ndarray]]]:
-        """Every ticker's observations, each list sorted by date."""
-        grouped: dict[str, list[tuple[date, np.ndarray]]] = {}
-        for (d, t), v in self.ratios.items():
-            grouped.setdefault(t, []).append((d, v))
-        for obs in grouped.values():
-            obs.sort(key=lambda pair: pair[0])
-        return grouped
 
 
 @dataclass(frozen=True)
@@ -206,42 +176,50 @@ def _parse_ratios(row: list[str], source: str, line: int) -> np.ndarray:
     return np.array([_parse_float(cell, RATIO_COLUMNS[j], source, line) for j, cell in enumerate(row[2:])])
 
 
-def load_prices(path) -> PriceTable:
-    """Parse a ``date,ticker,close`` CSV.
+def load_prices(path) -> dict[tuple[date, str], float]:
+    """Parse a ``date,ticker,close`` CSV into ``{(date, ticker): close}``.
 
     Rejects nonpositive prices, malformed rows, and duplicate
     (date, ticker) pairs, naming the offending line.
     """
-    return PriceTable(_load_rows(path, "price", ["date", "ticker", "close"], _parse_close))
+    return _load_rows(path, "price", ["date", "ticker", "close"], _parse_close)
 
 
-def load_fundamentals(path) -> FundamentalsTable:
-    """Parse a fundamentals CSV: ``date,ticker`` plus the 15 ratio columns.
+def load_fundamentals(path) -> dict[tuple[date, str], np.ndarray]:
+    """Parse a fundamentals CSV (``date,ticker`` plus the 15 ratio columns)
+    into ``{(date, ticker): ratios}``, each a length-15 array in
+    :data:`RATIO_COLUMNS` order.
 
-    Observations may be sparse in time. Non-numeric or non-finite cells are
-    rejected with their column name and line number.
+    Observations may be sparse in time and in any row order. Non-numeric or
+    non-finite cells are rejected with their column name and line number.
     """
-    return FundamentalsTable(_load_rows(path, "fundamentals", ["date", "ticker", *RATIO_COLUMNS], _parse_ratios))
+    return _load_rows(path, "fundamentals", ["date", "ticker", *RATIO_COLUMNS], _parse_ratios)
 
 
-def align_forward_fill(prices: PriceTable, fundamentals: FundamentalsTable) -> MarketDataset:
-    """Merge sparse fundamentals onto the daily price grid.
+def align_forward_fill(
+    prices: dict[tuple[date, str], float], fundamentals: dict[tuple[date, str], np.ndarray]
+) -> MarketDataset:
+    """Merge sparse fundamentals onto the daily price grid, both as
+    :func:`load_prices` and :func:`load_fundamentals` return them.
 
-    Each day carries the most recent ratio observation at or before it.
-    Days on which any ticker still lacks an observation are dropped from
-    the front of the dataset. Every price ticker must appear in the
-    fundamentals table.
+    Tickers are sorted by name and days by date. Each day carries the most
+    recent ratio observation at or before it. Days on which any ticker
+    still lacks an observation are dropped from the front of the dataset.
+    Every price ticker must appear in the fundamentals.
     """
-    tickers = prices.tickers
-    days = prices.days
-    missing_price = [(d, t) for d in days for t in tickers if (d, t) not in prices.close]
+    tickers = sorted({t for _, t in prices})
+    days = sorted({d for d, _ in prices})
+    missing_price = [(d, t) for d in days for t in tickers if (d, t) not in prices]
     if missing_price:
         d, t = missing_price[0]
         raise DataError(
             f"price grid incomplete: {len(missing_price)} missing (date, ticker) cells, first ({d}, {t})"
         )
 
-    per_ticker_obs = fundamentals.by_ticker()
+    # Every ticker's observations, each list in date order.
+    per_ticker_obs: dict[str, list[tuple[date, np.ndarray]]] = {}
+    for d, t in sorted(fundamentals):
+        per_ticker_obs.setdefault(t, []).append((d, fundamentals[(d, t)]))
     for t in tickers:
         if t not in per_ticker_obs:
             raise DataError(f"ticker {t!r} has prices but no fundamentals")
@@ -254,7 +232,7 @@ def align_forward_fill(prices: PriceTable, fundamentals: FundamentalsTable) -> M
             f"no price day is covered by fundamentals (first full coverage at {coverage_start})"
         )
 
-    close = np.array([[prices.close[(day, t)] for t in tickers] for day in kept_days])
+    close = np.array([[prices[(day, t)] for t in tickers] for day in kept_days])
     ratios = np.empty((len(kept_days), RATIO_COUNT, len(tickers)))
     day_ordinals = [day.toordinal() for day in kept_days]
     for ti, t in enumerate(tickers):
@@ -294,8 +272,13 @@ def generate_synthetic_market(
     """
     if tickers < 1 or days < 1:
         raise DataError(f"tickers and days must be >= 1, got {tickers}, {days}")
-    if volatility < 0:
-        raise DataError(f"volatility must be >= 0, got {volatility}")
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
+    # Written as `not lo < x < inf` so that NaN fails too.
+    if not -1.0 < drift < math.inf:
+        raise DataError(f"drift must be finite and > -1, got {drift}")
+    if not 0.0 <= volatility < math.inf:
+        raise DataError(f"volatility must be finite and >= 0, got {volatility}")
     rng = np.random.default_rng(seed)
     # Zero-padded to one width so that names sort in index order, as
     # `load_prices` sorts them.

@@ -8,9 +8,10 @@ observation. Balance and holdings can never go negative: sells cap at
 current holdings, buys at affordability.
 
 ``TradingEnv.trace`` is the episode's one record: ``reset`` writes the
-start day's ledger row and every ``step`` appends the new day's (date,
-balance, portfolio value, reward, fees, turbulence, holdings). ``step``
-itself returns only the observation, the reward and the done flag.
+ledger row of the start day, ``window_length - 1`` (the first window holds
+days ``0 .. window_length - 1``), and every ``step`` appends the new day's
+(date, balance, portfolio value, reward, fees, turbulence, holdings).
+``step`` itself returns only the observation, the reward and the done flag.
 """
 
 from __future__ import annotations
@@ -181,16 +182,13 @@ class TradingEnv:
 
     A handle owns a mutable cursor and is single-threaded; independent
     handles over the same dataset may run in parallel. ``reset`` restarts
-    the same episode (same start day, fresh portfolio).
+    the same episode (day 0's window, fresh portfolio).
     """
 
-    def __init__(self, dataset: MarketDataset, config: EnvConfig, start: int = 0):
-        if start < 0:
-            raise ShuffleRlError(f"start must be >= 0, got {start}")
-        if start + config.window_length >= dataset.n_days:
+    def __init__(self, dataset: MarketDataset, config: EnvConfig):
+        if config.window_length >= dataset.n_days:
             raise InsufficientHistoryError(
-                f"need start + window_length < n_days: "
-                f"{start} + {config.window_length} >= {dataset.n_days}"
+                f"need window_length < n_days: {config.window_length} >= {dataset.n_days}"
             )
         self.layout = FeatureLayout(dataset.ticker_count)
         if config.permutation is not None and len(config.permutation) != self.layout.total:
@@ -200,7 +198,6 @@ class TradingEnv:
             )
         self.dataset = dataset
         self.config = config
-        self.start = start
         self._turbulence = self._compute_turbulence()
         self.reset()
 
@@ -233,11 +230,11 @@ class TradingEnv:
         self.state = PortfolioState(
             balance=cfg.initial_balance,
             holdings=np.zeros(self.dataset.ticker_count, dtype=np.int64),
-            day_index=self.start + cfg.window_length - 1,
+            day_index=cfg.window_length - 1,
         )
         self.done = False
         self.trace: list[dict] = []
-        vectors = [self._day_vector(day) for day in range(self.start, self.start + cfg.window_length)]
+        vectors = [self._day_vector(day) for day in range(cfg.window_length)]
         self.observation = init_window(vectors, expected_length=cfg.window_length)
         self._record_trace(portfolio_value(self.state, self.dataset.close[self.state.day_index]), 0.0, 0.0)
         return self.observation
@@ -286,18 +283,11 @@ class TradingEnv:
     def write_trace_csv(self, path) -> None:
         if not self.trace:
             raise ShuffleRlError("no trace recorded")
-        fieldnames = list(self.trace[0].keys())
+        # csv writes a float as its repr, so every value reads back exactly.
         with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.DictWriter(handle, fieldnames=fieldnames)
+            writer = csv.DictWriter(handle, fieldnames=list(self.trace[0]))
             writer.writeheader()
-            for row in self.trace:
-                writer.writerow({k: _csv_cell(v) for k, v in row.items()})
-
-
-def _csv_cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
+            writer.writerows(self.trace)
 
 
 def run_episode(env: TradingEnv, policy, gamma: float) -> float:

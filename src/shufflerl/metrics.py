@@ -147,10 +147,11 @@ def compare_runs(curves: dict[str, list[tuple[int, float]]]) -> ComparisonTable:
 
 
 def write_aligned_curves_csv(curves: dict[str, list[tuple[int, float]]], path) -> None:
-    """Long-format ``label,timestep,reward`` CSV for external plotting."""
+    """Long-format ``label,timestep,reward`` CSV for external plotting; csv
+    writes each float reward as its ``repr``, so it reads back bit-exact."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["label", "timestep", "reward"])
         for label in sorted(curves):
             for timestep, reward in sorted(curves[label], key=lambda p: p[0]):
-                writer.writerow([label, timestep, repr(float(reward))])
+                writer.writerow([label, timestep, reward])

@@ -142,6 +142,17 @@ class RunConfig:
     split: SplitSpec | None
     out: str | None
 
+    def __post_init__(self):
+        # Here rather than in the parser, so that `replace(config, seeds=...)`
+        # checks a command-line seed too.
+        if not self.seeds:
+            raise ConfigError("seeds must be a non-empty list of ints")
+        if any(seed < 0 for seed in self.seeds):
+            raise ConfigError(f"seeds must be >= 0, got {list(self.seeds)}")
+        names = [a.kind for a in self.agents]
+        if len(set(names)) != len(names):
+            raise ConfigError(f"duplicate agent kinds in 'agents': {names}")
+
     def resolved_dict(self) -> dict:
         """Full configuration with every default made explicit."""
         return {
@@ -192,7 +203,7 @@ def _parse_agent(section: str, data) -> AgentSpec:
     return AgentSpec(kind=kind, arch=arch)
 
 
-def parse_run_config(data: dict, require_comparison: bool = False) -> RunConfig:
+def parse_run_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("run config must be a JSON object")
     _reject_unknown("run config", data, _TOP_KEYS)
@@ -213,15 +224,6 @@ def parse_run_config(data: dict, require_comparison: bool = False) -> RunConfig:
         agents = (_parse_agent("agent", data["agent"]),)
     else:
         raise ConfigError("run config needs an 'agent' (or 'agents') section")
-    if require_comparison and len(agents) < 2:
-        raise ConfigError(f"comparison needs at least 2 agents, got {len(agents)}")
-    names = [a.kind for a in agents]
-    if len(set(names)) != len(names):
-        raise ConfigError(f"duplicate agent kinds in 'agents': {names}")
-
-    seeds = read_value("seeds", data.get("seeds", [0, 1, 2]), tuple[int, ...])
-    if not seeds:
-        raise ConfigError("seeds must be a non-empty list of ints")
 
     split = read_section("split", SplitSpec, data["split"]) if data.get("split") is not None else None
 
@@ -230,13 +232,13 @@ def parse_run_config(data: dict, require_comparison: bool = False) -> RunConfig:
         env=env,
         ppo=ppo,
         agents=agents,
-        seeds=seeds,
+        seeds=read_value("seeds", data.get("seeds", [0, 1, 2]), tuple[int, ...]),
         split=split,
         out=read_value("out", data.get("out"), str | None),
     )
 
 
-def load_run_config(path, require_comparison: bool = False) -> RunConfig:
+def load_run_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -244,7 +246,7 @@ def load_run_config(path, require_comparison: bool = False) -> RunConfig:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-    return parse_run_config(data, require_comparison=require_comparison)
+    return parse_run_config(data)
 
 
 def materialize_dataset(spec: DatasetSpec) -> tuple[MarketDataset, str]:

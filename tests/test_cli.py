@@ -232,9 +232,19 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="agent"):
             parse_run_config(base_config(archive))
 
-    def test_comparison_needs_two(self, archive):
-        with pytest.raises(ConfigError, match="at least 2"):
-            parse_run_config(base_config(archive, agents=[MLP_AGENT]), require_comparison=True)
+    @pytest.mark.parametrize("key, value, message", [
+        ("dataset", {"source": "yahoo"}, r"^dataset\.source must be 'synthetic' or 'archive', got 'yahoo'$"),
+        ("dataset", {"source": "archive"}, r"^dataset\.path is required for source 'archive'$"),
+        ("dataset", {"source": "synthetic", "tickrs": 2},
+         r"^unknown key 'tickrs' in dataset; did you mean 'tickers'\?$"),
+        ("dataset", {"source": "synthetic", "tickers": 2.5}, r"^dataset\.tickers: expected int, got float$"),
+        ("seeds", [0, -1], r"^seeds must be >= 0, got \[0, -1\]$"),
+    ])
+    def test_bad_dataset_or_seeds(self, archive, key, value, message):
+        data = base_config(archive, agent=MLP_AGENT)
+        data[key] = value
+        with pytest.raises(ConfigError, match=message):
+            parse_run_config(data)
 
     def test_bad_seeds(self, archive):
         data = base_config(archive, agent=MLP_AGENT)
@@ -332,6 +342,20 @@ class TestCliSynth:
         assert rc == 1
         assert "tickers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("--volatility", "nan", "volatility must be finite and >= 0, got nan"),
+        ("--drift", "nan", "drift must be finite and > -1, got nan"),
+        ("--drift", "-2", "drift must be finite and > -1, got -2.0"),
+    ])
+    def test_bad_market_parameter_usage_error(self, tmp_path, capsys, flag, value, message):
+        # argparse keeps an option's last value, so `flag` overrides the default given first.
+        argv = ["synth", "--seed", "1", "--tickers", "1", "--days", "30", flag, value]
+        rc = main([*argv, "--out", str(tmp_path / "a")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not (tmp_path / "a").exists()
+
 
 class TestCliTrain:
     def test_artifacts_and_manifest(self, tmp_path, archive, capsys):
@@ -406,6 +430,14 @@ class TestCliTrain:
         main(["train", "--config", str(cfg_path), "--seed", "5"])
         runs = sorted(p.name for p in (tmp_path / "run" / "runs").iterdir())
         assert runs == ["mlp-seed5"]
+
+    @pytest.mark.parametrize("seeds, flags", [((-1,), []), ((0,), ["--seed", "-3"])])
+    def test_negative_seed_writes_nothing(self, tmp_path, archive, capsys, seeds, flags):
+        cfg_path = tmp_path / "cfg.json"
+        write_json(cfg_path, base_config(archive, out=tmp_path / "run", agent=MLP_AGENT, seeds=seeds))
+        assert main(["train", "--config", str(cfg_path), *flags]) == 1
+        assert capsys.readouterr().err.startswith("config error: seeds must be >= 0")
+        assert not (tmp_path / "run").exists()
 
     def test_each_run_matches_its_solo_run(self, tmp_path, archive):
         # Runs that share one invocation must not leak state (a generator,
@@ -749,7 +781,8 @@ class TestCliCompare:
         path = tmp_path / "cmp.json"
         write_json(path, cfg)
         assert main(["compare", "--config", str(path)]) == 1
-
+        assert "comparison needs at least 2 agents, got 1" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
 
     def test_mistyped_arch_fails_before_any_run(self, tmp_path, archive, capsys):
         bad_cnn = {**CNN_AGENT, "arch": {**CNN_AGENT["arch"], "conv_channels": [4.5, 8]}}

@@ -1,3 +1,4 @@
+import math
 from datetime import date
 
 import numpy as np
@@ -44,9 +45,9 @@ class TestLoadPrices:
             ("2015-01-06", "AXP", 91.8),
         ])
         table = load_prices(path)
-        assert len(table.close) == 3
-        assert table.tickers == ["AXP"]
-        assert table.close[(date(2015, 1, 5), "AXP")] == 93.1
+        assert len(table) == 3
+        assert sorted({t for _, t in table}) == ["AXP"]
+        assert table[(date(2015, 1, 5), "AXP")] == 93.1
 
     def test_nonpositive_price_names_row(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -94,8 +95,8 @@ class TestLoadFundamentals:
             ("2015-04-02", "AXP", *ratio_cells(2.0)),
         ])
         table = load_fundamentals(path)
-        assert len(table.ratios) == 2
-        obs = table.by_ticker()["AXP"]
+        assert len(table) == 2
+        obs = [(d, v) for (d, t), v in table.items() if t == "AXP"]
         assert obs[0][0] == date(2015, 1, 2)
         np.testing.assert_array_equal(obs[1][1], np.full(15, 2.0))
 
@@ -158,6 +159,22 @@ class TestAlignForwardFill:
         dataset = align_forward_fill(prices, load_fundamentals(path))
         assert np.all(dataset.ratios[:3] == 1.0)
         assert np.all(dataset.ratios[3:] == 2.0)
+
+    def test_reports_out_of_date_order(self, tmp_path):
+        prices = self._prices(tmp_path, tickers=("AXP", "GS"))
+        path = tmp_path / "f.csv"
+        write_fundamentals(path, [
+            ("2015-01-04", "AXP", *ratio_cells(2.0)),
+            ("2015-01-03", "GS", *ratio_cells(4.0)),
+            ("2015-01-01", "AXP", *ratio_cells(1.0)),
+            ("2015-01-01", "GS", *ratio_cells(3.0)),
+        ])
+        dataset = align_forward_fill(prices, load_fundamentals(path))
+        assert dataset.n_days == 5
+        assert np.all(dataset.ratios[:3, :, 0] == 1.0)
+        assert np.all(dataset.ratios[3:, :, 0] == 2.0)
+        assert np.all(dataset.ratios[:2, :, 1] == 3.0)
+        assert np.all(dataset.ratios[2:, :, 1] == 4.0)
 
     def test_days_before_coverage_dropped(self, tmp_path):
         prices = self._prices(tmp_path)
@@ -251,10 +268,20 @@ class TestSyntheticMarket:
         assert np.all(dataset.ratios[63] == dataset.ratios[125])
 
     def test_bad_params(self):
-        with pytest.raises(DataError):
-            generate_synthetic_market(seed=0, tickers=0, days=10)
-        with pytest.raises(DataError):
-            generate_synthetic_market(seed=0, tickers=1, days=10, volatility=-0.1)
+        for params, message in [
+            ({"tickers": 0}, "tickers and days must be >= 1"),
+            ({"days": 0}, "tickers and days must be >= 1"),
+            ({"seed": -1}, "seed must be >= 0"),
+            ({"volatility": -0.1}, "volatility must be finite and >= 0"),
+            ({"volatility": math.nan}, "volatility must be finite and >= 0"),
+            ({"volatility": math.inf}, "volatility must be finite and >= 0"),
+            ({"drift": math.nan}, "drift must be finite and > -1"),
+            ({"drift": math.inf}, "drift must be finite and > -1"),
+            ({"drift": -1.0}, "drift must be finite and > -1"),
+            ({"drift": -2.0}, "drift must be finite and > -1"),
+        ]:
+            with pytest.raises(DataError, match=message):
+                generate_synthetic_market(**{"seed": 0, "tickers": 1, "days": 10, **params})
 
 
 def turbulence_oracle_one_day(dataset, lookback, t, ridge=1e-6):

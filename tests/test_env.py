@@ -201,11 +201,6 @@ class TestReset:
         env = TradingEnv(toy_market, small_config())
         assert portfolio_value(env.state, toy_market.close[env.state.day_index]) == 100.0
 
-    def test_start_offset(self, toy_market):
-        env = TradingEnv(toy_market, small_config(), start=1)
-        assert env.state.day_index == 2
-        np.testing.assert_array_equal(env.observation.rows[:, 1], toy_market.close[1:3, 0])
-
 
 class TestStep:
     def test_zero_action_flat_prices_zero_reward(self, flat_market):
@@ -216,14 +211,14 @@ class TestStep:
 
     def test_hand_reward_value(self):
         # 100 shares into a 10 -> 11 move: (1100 - 1000) * 1e-6 = 1e-4
-        close = np.array([[10.0], [10.0], [11.0], [11.0]])
+        close = np.array([[10.0], [11.0], [11.0]])
         dataset = make_dataset(close)
         cfg = EnvConfig(
             initial_balance=1000.0, hmax=100, cost_rate=0.0,
             reward_scale=1e-6, balance_scale=1e-6,
             window_length=1, turbulence_lookback=None,
         )
-        env = TradingEnv(dataset, cfg, start=1)  # cursor at day 1, price 10
+        env = TradingEnv(dataset, cfg)  # cursor at day 0, price 10
         result = env.step(np.array([1.0]))  # buy 100 at 10, mark to 11
         assert result.reward == pytest.approx(1e-4, rel=1e-12)
         assert env.state.holdings.tolist() == [100]
