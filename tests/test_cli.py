@@ -246,6 +246,15 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=message):
             parse_run_config(data)
 
+    def test_comparison_needs_two(self, tmp_path, archive):
+        cfg = base_config(archive, out=tmp_path / "cmp", agents=[MLP_AGENT])
+        assert len(parse_run_config(cfg).agents) == 1  # a valid run config for train
+        path = tmp_path / "cmp.json"
+        write_json(path, cfg)
+        args = cli.build_parser().parse_args(["compare", "--config", str(path)])
+        with pytest.raises(ConfigError, match="at least 2"):
+            args.func(args)
+
     def test_bad_seeds(self, archive):
         data = base_config(archive, agent=MLP_AGENT)
         data["seeds"] = []
