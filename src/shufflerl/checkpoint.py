@@ -11,8 +11,9 @@ config's typed reader over every ``ArchSpec`` field, so a mistyped or
 unknown entry is a ``ConfigError``; a missing ``head_gain`` takes its
 default. The seed, observation shape, action count, tensor list and
 metadata object are typed the same way, and a missing one, like a manifest
-that is not a JSON object, is a ``ConfigError`` too. A missing or
-unreadable manifest or blob is a ``ShuffleRlError``.
+that is not a JSON object or a ``blob`` other than ``params.bin``, is a
+``ConfigError`` too. A missing or unreadable manifest or blob is a
+``ShuffleRlError``.
 
 Saving streams each tensor to the blob in turn, with no joined copy.
 Loading checks the manifest against the rebuilt network and the blob's
@@ -133,7 +134,9 @@ def load_checkpoint(directory) -> tuple[ActorCritic, dict]:
         names.append(_required(entry, f"checkpoint.tensors[{i}]", "name", str))
         shapes.append(_required(entry, f"checkpoint.tensors[{i}]", "shape", tuple[int, ...]))
     _required(manifest, "checkpoint", "metadata", dict)
-    blob_name = _required(manifest, "checkpoint", "blob", str)
+    blob = _required(manifest, "checkpoint", "blob", str)
+    if blob != BLOB_NAME:  # never a file outside the checkpoint directory
+        raise ConfigError(f"checkpoint blob must be {BLOB_NAME!r}, got {blob!r}")
     net = ActorCritic(arch, obs_shape, action_dim, seed=seed, dtype=dtype.newbyteorder("="), _draw=False)
     tensors = _all_tensors(net)
     if names != [name for name, _, _ in tensors]:
@@ -141,7 +144,7 @@ def load_checkpoint(directory) -> tuple[ActorCritic, dict]:
     for name, shape, (_, arr, _) in zip(names, shapes, tensors):
         if shape != arr.shape:
             raise ShuffleRlError(f"tensor {name}: manifest shape {shape} != model shape {arr.shape}")
-    with _open(directory, blob_name) as handle:
+    with _open(directory, BLOB_NAME) as handle:
         size = os.fstat(handle.fileno()).st_size
         expected = sum(arr.nbytes for _, arr, _ in tensors)
         if size != expected:

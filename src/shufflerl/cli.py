@@ -21,9 +21,8 @@ from shufflerl import __version__
 from shufflerl.archive import load_archive, save_archive
 from shufflerl.checkpoint import load_checkpoint, save_checkpoint, source_hash
 from shufflerl.data import (
-    SYNTH_DRIFT,
-    SYNTH_VOLATILITY,
     MarketDataset,
+    SyntheticMarket,
     align_forward_fill,
     generate_synthetic_market,
     load_fundamentals,
@@ -162,6 +161,7 @@ def _prepare_training(args, require_comparison: bool) -> tuple[RunConfig, Market
         raise ConfigError("no output directory: pass --out or set 'out' in the config")
     dataset, fingerprint = materialize_dataset(config.dataset)
     train_split, _ = resolve_split(dataset, config.split)
+    config.env.check_history(train_split)
     if require_comparison:
         if len(config.agents) < 2:
             raise ConfigError(f"comparison needs at least 2 agents, got {len(config.agents)}")
@@ -227,7 +227,7 @@ def cmd_synth(args) -> int:
             drift=args.drift,
             volatility=args.volatility,
         )
-    except DataError as exc:  # a bad flag value, not bad data
+    except DataError as exc:  # bad flag values, not bad data
         raise _UsageError(str(exc)) from None
     default_window = EnvConfig().window_length
     if args.days < default_window + 1:
@@ -352,8 +352,8 @@ def build_parser() -> _Parser:
     p_synth.add_argument("--seed", type=int, required=True)
     p_synth.add_argument("--tickers", type=int, required=True)
     p_synth.add_argument("--days", type=int, required=True)
-    p_synth.add_argument("--drift", type=float, default=SYNTH_DRIFT, help="per-day drift rate")
-    p_synth.add_argument("--volatility", type=float, default=SYNTH_VOLATILITY, help="per-day volatility")
+    p_synth.add_argument("--drift", type=float, default=SyntheticMarket.drift, help="per-day drift rate")
+    p_synth.add_argument("--volatility", type=float, default=SyntheticMarket.volatility, help="per-day volatility")
     p_synth.add_argument("--out", required=True)
     p_synth.set_defaults(func=cmd_synth)
 

@@ -44,15 +44,12 @@ RATIO_COLUMNS = (
 
 RATIO_COUNT = len(RATIO_COLUMNS)
 
-# Default per-day drift and volatility of the synthetic market, shared by
-# the synth command and run configs.
-SYNTH_DRIFT = 0.0005
-SYNTH_VOLATILITY = 0.01
-
 # Typical magnitudes for the synthetic generator, one per ratio column.
 _SYNTH_RATIO_BASE = np.array(
     [1.5, 0.6, 1.1, 0.5, 1.2, 6.0, 8.0, 7.0, 0.15, 0.10, 0.07, 0.14, 5.0, 30.0, 1.5]
 )
+# Trading days between re-draws of the synthetic ratios.
+_QUARTER_LENGTH = 63
 
 
 @dataclass(frozen=True)
@@ -85,8 +82,8 @@ class MarketDataset:
             raise DataError(f"ratio grid shape {ratios.shape} != ({n}, {RATIO_COUNT}, {d})")
         if any(b <= a for a, b in zip(self.days, self.days[1:])):
             raise DataError("dates must be strictly increasing")
-        if not np.all(close > 0):
-            raise DataError("all close prices must be strictly positive")
+        if not np.all((0 < close) & (close < math.inf)):  # NaN fails too
+            raise DataError("all close prices must be finite and strictly positive")
         if not np.all(np.isfinite(ratios)):
             raise DataError("all ratios must be finite")
 
@@ -254,31 +251,46 @@ def _weekdays_from(start: date, count: int) -> list[date]:
     return days
 
 
+@dataclass(frozen=True)
+class SyntheticMarket:
+    """The parameters of :func:`generate_synthetic_market`, with the
+    defaults of a run config's synthetic dataset section."""
+
+    seed: int = 0
+    tickers: int = 30
+    days: int = 500
+    drift: float = 0.0005
+    volatility: float = 0.01
+
+    def __post_init__(self):
+        if self.tickers < 1 or self.days < 1:
+            raise DataError(f"tickers and days must be >= 1, got {self.tickers}, {self.days}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
+        # Written as `not lo < x < inf` so that NaN fails too.
+        if not -1.0 < self.drift < math.inf:
+            raise DataError(f"drift must be finite and > -1, got {self.drift}")
+        if not 0.0 <= self.volatility < math.inf:
+            raise DataError(f"volatility must be finite and >= 0, got {self.volatility}")
+
+
 def generate_synthetic_market(
     seed: int,
     tickers: int,
     days: int,
-    drift: float = SYNTH_DRIFT,
-    volatility: float = SYNTH_VOLATILITY,
-    quarter_length: int = 63,
+    drift: float = SyntheticMarket.drift,
+    volatility: float = SyntheticMarket.volatility,
 ) -> MarketDataset:
     """Geometric-random-walk market, deterministic for a fixed seed.
 
     Prices start at 100 and evolve as
     ``p[t+1] = p[t] * (1 + drift) * exp(vol * z - vol^2 / 2)`` with standard
     normal ``z``, so a zero-volatility market follows ``100 * (1+drift)^t``
-    exactly. Ratios are piecewise-constant, re-drawn every
-    ``quarter_length`` trading days.
+    exactly. Ratios are piecewise-constant, re-drawn every ``_QUARTER_LENGTH``
+    trading days. :class:`SyntheticMarket` checks the parameters, and a walk
+    that leaves the finite positive range is a ``DataError`` too.
     """
-    if tickers < 1 or days < 1:
-        raise DataError(f"tickers and days must be >= 1, got {tickers}, {days}")
-    if seed < 0:
-        raise DataError(f"seed must be >= 0, got {seed}")
-    # Written as `not lo < x < inf` so that NaN fails too.
-    if not -1.0 < drift < math.inf:
-        raise DataError(f"drift must be finite and > -1, got {drift}")
-    if not 0.0 <= volatility < math.inf:
-        raise DataError(f"volatility must be finite and >= 0, got {volatility}")
+    SyntheticMarket(seed, tickers, days, drift, volatility)
     rng = np.random.default_rng(seed)
     # Zero-padded to one width so that names sort in index order, as
     # `load_prices` sorts them.
@@ -288,22 +300,29 @@ def generate_synthetic_market(
 
     close = np.empty((days, tickers))
     close[0] = 100.0
-    if volatility == 0.0:
-        for t in range(1, days):
-            close[t] = close[t - 1] * (1.0 + drift)
-    else:
-        shocks = rng.standard_normal((days - 1, tickers)) if days > 1 else np.empty((0, tickers))
-        factors = (1.0 + drift) * np.exp(volatility * shocks - 0.5 * volatility**2)
-        for t in range(1, days):
-            close[t] = close[t - 1] * factors[t - 1]
+    with np.errstate(all="ignore"):  # the range check below catches any overflow
+        if volatility == 0.0:
+            for t in range(1, days):
+                close[t] = close[t - 1] * (1.0 + drift)
+        else:
+            shocks = rng.standard_normal((days - 1, tickers)) if days > 1 else np.empty((0, tickers))
+            # A float64 square is inf past 1.3e154, where a float one raises.
+            factors = (1.0 + drift) * np.exp(volatility * shocks - 0.5 * np.float64(volatility) ** 2)
+            for t in range(1, days):
+                close[t] = close[t - 1] * factors[t - 1]
+    if not np.all((0 < close) & (close < math.inf)):
+        raise DataError(
+            f"drift {drift} and volatility {volatility} take prices out of the finite "
+            f"positive range within {days} days"
+        )
 
-    n_quarters = (days + quarter_length - 1) // quarter_length
+    n_quarters = (days + _QUARTER_LENGTH - 1) // _QUARTER_LENGTH
     quarterly = _SYNTH_RATIO_BASE[None, :, None] * rng.lognormal(
         mean=0.0, sigma=0.25, size=(n_quarters, RATIO_COUNT, tickers)
     )
     ratios = np.empty((days, RATIO_COUNT, tickers))
     for t in range(days):
-        ratios[t] = quarterly[t // quarter_length]
+        ratios[t] = quarterly[t // _QUARTER_LENGTH]
     return MarketDataset(names, calendar, close, ratios)
 
 

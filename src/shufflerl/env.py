@@ -64,6 +64,13 @@ class EnvConfig:
         if self.turbulence_lookback is not None and self.turbulence_lookback < 1:
             raise ShuffleRlError(f"turbulence_lookback must be None or >= 1, got {self.turbulence_lookback}")
 
+    def check_history(self, dataset: MarketDataset) -> None:
+        """Raise unless ``dataset`` has a day past the first window."""
+        if self.window_length >= dataset.n_days:
+            raise InsufficientHistoryError(
+                f"need window_length < n_days: {self.window_length} >= {dataset.n_days}"
+            )
+
 
 @dataclass(frozen=True)
 class PortfolioState:
@@ -186,10 +193,7 @@ class TradingEnv:
     """
 
     def __init__(self, dataset: MarketDataset, config: EnvConfig):
-        if config.window_length >= dataset.n_days:
-            raise InsufficientHistoryError(
-                f"need window_length < n_days: {config.window_length} >= {dataset.n_days}"
-            )
+        config.check_history(dataset)
         self.layout = FeatureLayout(dataset.ticker_count)
         if config.permutation is not None and len(config.permutation) != self.layout.total:
             raise ShuffleRlError(

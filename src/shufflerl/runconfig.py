@@ -1,13 +1,14 @@
 """Run configuration: strict JSON schema with explicit defaults.
 
-The keys and value types of the env, ppo, arch and split sections are the
-fields of ``EnvConfig``, ``PpoConfig``, ``ArchSpec`` and ``SplitSpec``, and
-the dataclasses check their own values. Unknown keys are rejected (with a
-did-you-mean hint) rather than ignored. ``read_section`` is the one typed
-reader: the run config, a checkpoint's architecture and the metadata that
-``evaluate`` reads back all go through it. The fully resolved
-configuration is dumped into every run manifest, and that ``config``
-re-parses to the same ``RunConfig``, so a manifest alone reproduces a run.
+The keys and value types of the dataset, env, ppo, arch and split sections
+are the fields of ``SyntheticMarket`` or ``ArchiveSource``, ``EnvConfig``,
+``PpoConfig``, ``ArchSpec`` and ``SplitSpec``, and the dataclasses check
+their own values. Unknown keys are rejected (with a did-you-mean hint)
+rather than ignored. ``read_section`` is the one typed reader: the run
+config, a checkpoint's architecture and the metadata that ``evaluate``
+reads back all go through it. The fully resolved configuration is dumped
+into every run manifest, and that ``config`` re-parses to the same
+``RunConfig``, so a manifest alone reproduces a run.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ import difflib
 import json
 import types
 import typing
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import asdict, dataclass, fields as dataclass_fields
 from datetime import date
 from pathlib import Path
 
 from shufflerl.archive import dataset_fingerprint, load_archive, market_csvs
-from shufflerl.data import SYNTH_DRIFT, SYNTH_VOLATILITY, MarketDataset, generate_synthetic_market, split_by_date
+from shufflerl.data import MarketDataset, SyntheticMarket, generate_synthetic_market, split_by_date
 from shufflerl.env import EnvConfig
 from shufflerl.errors import ConfigError, DataError, ShuffleRlError
 from shufflerl.nn import ArchSpec
@@ -40,8 +41,6 @@ _ENV_KEYS = _fields(EnvConfig, "permutation")
 _PPO_KEYS = _fields(PpoConfig, "seed")
 _ARCH_KEYS = _fields(ArchSpec, "kind", "head_gain")
 
-_SYNTH_KEYS = {"source": str, "seed": int, "tickers": int, "days": int, "drift": float, "volatility": float}
-_ARCHIVE_KEYS = {"source": str, "path": str}
 _TOP_KEYS = ("dataset", "env", "ppo", "agent", "agents", "seeds", "split", "out")
 
 
@@ -82,11 +81,6 @@ def _dumped(config, schema: dict) -> dict:
     return {key: getattr(config, key) for key in schema}
 
 
-def _typed(section: str, data: dict, schema: dict) -> dict:
-    _reject_unknown(section, data, schema)
-    return {key: read_value(f"{section}.{key}", value, schema[key]) for key, value in data.items()}
-
-
 def read_section(section: str, cls, data, schema: dict | None = None, **fixed):
     """``cls`` built from the JSON object ``data`` and the ``fixed`` fields.
     ``schema`` (by default every field of ``cls`` not in ``fixed``) types
@@ -94,7 +88,9 @@ def read_section(section: str, cls, data, schema: dict | None = None, **fixed):
     config error."""
     if not isinstance(data, dict):
         raise ConfigError(f"{section} must be an object")
-    values = _typed(section, data, _fields(cls, *fixed) if schema is None else schema)
+    schema = _fields(cls, *fixed) if schema is None else schema
+    _reject_unknown(section, data, schema)
+    values = {key: read_value(f"{section}.{key}", value, schema[key]) for key, value in data.items()}
     try:
         return cls(**fixed, **values)
     except ShuffleRlError as exc:
@@ -102,12 +98,8 @@ def read_section(section: str, cls, data, schema: dict | None = None, **fixed):
 
 
 @dataclass(frozen=True)
-class DatasetSpec:
-    source: str  # "synthetic" | "archive"
-    params: dict
-
-    def to_dict(self) -> dict:
-        return {"source": self.source, **self.params}
+class ArchiveSource:
+    path: str
 
 
 @dataclass(frozen=True)
@@ -134,7 +126,7 @@ class SplitSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    dataset: DatasetSpec
+    dataset: SyntheticMarket | ArchiveSource
     env: EnvConfig
     ppo: PpoConfig  # seed field is a placeholder; per-run seeds come from `seeds`
     agents: tuple[AgentSpec, ...]
@@ -149,14 +141,17 @@ class RunConfig:
             raise ConfigError("seeds must be a non-empty list of ints")
         if any(seed < 0 for seed in self.seeds):
             raise ConfigError(f"seeds must be >= 0, got {list(self.seeds)}")
+        if not self.agents:
+            raise ConfigError("agents must be a non-empty list")
         names = [a.kind for a in self.agents]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate agent kinds in 'agents': {names}")
 
     def resolved_dict(self) -> dict:
         """Full configuration with every default made explicit."""
+        source = "archive" if isinstance(self.dataset, ArchiveSource) else "synthetic"
         return {
-            "dataset": self.dataset.to_dict(),
+            "dataset": {"source": source, **asdict(self.dataset)},
             "env": _dumped(self.env, _ENV_KEYS),
             "ppo": _dumped(self.ppo, _PPO_KEYS),
             "agents": [
@@ -169,25 +164,17 @@ class RunConfig:
         }
 
 
-def _parse_dataset(data) -> DatasetSpec:
+def _parse_dataset(data) -> SyntheticMarket | ArchiveSource:
     if not isinstance(data, dict):
         raise ConfigError("dataset section must be an object")
     source = data.get("source")
+    fields = {key: value for key, value in data.items() if key != "source"}
     if source == "synthetic":
-        params = _typed("dataset", data, _SYNTH_KEYS)
-        params.pop("source")
-        params.setdefault("seed", 0)
-        params.setdefault("tickers", 30)
-        params.setdefault("days", 500)
-        params.setdefault("drift", SYNTH_DRIFT)
-        params.setdefault("volatility", SYNTH_VOLATILITY)
-        return DatasetSpec("synthetic", params)
+        return read_section("dataset", SyntheticMarket, fields)
     if source == "archive":
-        params = _typed("dataset", data, _ARCHIVE_KEYS)
-        params.pop("source")
-        if "path" not in params:
+        if "path" not in fields:
             raise ConfigError("dataset.path is required for source 'archive'")
-        return DatasetSpec("archive", params)
+        return read_section("dataset", ArchiveSource, fields)
     raise ConfigError(f"dataset.source must be 'synthetic' or 'archive', got {source!r}")
 
 
@@ -249,12 +236,15 @@ def load_run_config(path) -> RunConfig:
     return parse_run_config(data)
 
 
-def materialize_dataset(spec: DatasetSpec) -> tuple[MarketDataset, str]:
+def materialize_dataset(spec: SyntheticMarket | ArchiveSource) -> tuple[MarketDataset, str]:
     """Build or load the dataset and return it with its fingerprint."""
-    if spec.source == "archive":
-        dataset, metadata = load_archive(spec.params["path"])
+    if isinstance(spec, ArchiveSource):
+        dataset, metadata = load_archive(spec.path)
         return dataset, metadata["fingerprint"]
-    dataset = generate_synthetic_market(**spec.params)
+    try:
+        dataset = generate_synthetic_market(**asdict(spec))
+    except DataError as exc:  # a walk that leaves the finite positive range
+        raise ConfigError(f"dataset: {exc}") from None
     # The fingerprint an archive of the same market records.
     return dataset, dataset_fingerprint(*market_csvs(dataset))
 

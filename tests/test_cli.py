@@ -239,12 +239,29 @@ class TestRunConfig:
          r"^unknown key 'tickrs' in dataset; did you mean 'tickers'\?$"),
         ("dataset", {"source": "synthetic", "tickers": 2.5}, r"^dataset\.tickers: expected int, got float$"),
         ("seeds", [0, -1], r"^seeds must be >= 0, got \[0, -1\]$"),
+        ("dataset", {"source": "synthetic", "drift": -2}, r"^dataset: drift must be finite and > -1, got -2\.0$"),
+        ("dataset", {"source": "synthetic", "tickers": 0}, r"^dataset: tickers and days must be >= 1, got 0, 500$"),
+        ("dataset", {"source": "synthetic", "seed": -1}, r"^dataset: seed must be >= 0, got -1$"),
+        ("dataset", {"source": "synthetic", "volatility": math.nan},
+         r"^dataset: volatility must be finite and >= 0, got nan$"),
     ])
     def test_bad_dataset_or_seeds(self, archive, key, value, message):
         data = base_config(archive, agent=MLP_AGENT)
         data[key] = value
         with pytest.raises(ConfigError, match=message):
             parse_run_config(data)
+
+    def test_resolved_dataset(self, archive):
+        data = base_config(archive, agent=MLP_AGENT)
+        assert parse_run_config(data).resolved_dict()["dataset"] == {"source": "archive", "path": str(archive)}
+        data["dataset"] = {"source": "synthetic", "days": 40, "drift": 0}
+        assert parse_run_config(data).resolved_dict()["dataset"] == {
+            "source": "synthetic", "seed": 0, "tickers": 30, "days": 40, "drift": 0.0, "volatility": 0.01,
+        }
+
+    def test_no_agents(self, archive):
+        with pytest.raises(ConfigError, match=r"^agents must be a non-empty list$"):
+            parse_run_config(base_config(archive, agents=[]))
 
     def test_comparison_needs_two(self, tmp_path, archive):
         cfg = base_config(archive, out=tmp_path / "cmp", agents=[MLP_AGENT])
@@ -356,6 +373,10 @@ class TestCliSynth:
         ("--volatility", "nan", "volatility must be finite and >= 0, got nan"),
         ("--drift", "nan", "drift must be finite and > -1, got nan"),
         ("--drift", "-2", "drift must be finite and > -1, got -2.0"),
+        ("--drift", "1e300",
+         "drift 1e+300 and volatility 0.01 take prices out of the finite positive range within 30 days"),
+        ("--volatility", "40",
+         "drift 0.0005 and volatility 40.0 take prices out of the finite positive range within 30 days"),
     ])
     def test_bad_market_parameter_usage_error(self, tmp_path, capsys, flag, value, message):
         # argparse keeps an option's last value, so `flag` overrides the default given first.
@@ -446,6 +467,35 @@ class TestCliTrain:
         write_json(cfg_path, base_config(archive, out=tmp_path / "run", agent=MLP_AGENT, seeds=seeds))
         assert main(["train", "--config", str(cfg_path), *flags]) == 1
         assert capsys.readouterr().err.startswith("config error: seeds must be >= 0")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("market, message", [
+        ({"drift": -2}, "dataset: drift must be finite and > -1, got -2.0"),
+        ({"tickers": 0}, "dataset: tickers and days must be >= 1, got 0, 30"),
+        ({"drift": 1e300},
+         "dataset: drift 1e+300 and volatility 0.01 take prices out of the finite positive range within 30 days"),
+    ])
+    def test_bad_synthetic_market_writes_nothing(self, tmp_path, capsys, market, message):
+        cfg = {**base_config(None, out=tmp_path / "run", agent=MLP_AGENT),
+               "dataset": {"source": "synthetic", "tickers": 2, "days": 30, **market}}
+        write_json(tmp_path / "cfg.json", cfg)
+        assert main(["train", "--config", str(tmp_path / "cfg.json")]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_no_agents_writes_nothing(self, tmp_path, archive, capsys):
+        write_json(tmp_path / "cfg.json", base_config(archive, out=tmp_path / "run", agents=[]))
+        assert main(["train", "--config", str(tmp_path / "cfg.json")]) == 1
+        assert capsys.readouterr().err == "config error: agents must be a non-empty list\n"
+        assert not (tmp_path / "run" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_window_longer_than_market_writes_nothing(self, tmp_path, archive, capsys, command):
+        cfg = base_config(archive, out=tmp_path / "run", agents=[MLP_AGENT, CNN_AGENT])
+        cfg["env"]["window_length"] = 30
+        write_json(tmp_path / "cfg.json", cfg)
+        assert main([command, "--config", str(tmp_path / "cfg.json")]) == 2
+        assert capsys.readouterr().err == "data error: need window_length < n_days: 30 >= 24\n"
         assert not (tmp_path / "run").exists()
 
     def test_each_run_matches_its_solo_run(self, tmp_path, archive):
@@ -557,6 +607,7 @@ class TestCliEvaluate:
         ("metadata", [1], "checkpoint.metadata: expected dict, got list"),
         ("format_version", True, "checkpoint.format_version: expected int, got bool"),
         ("format_version", 1.0, "checkpoint.format_version: expected int, got float"),
+        ("blob", "../params.bin", "checkpoint blob must be 'params.bin', got '../params.bin'"),
     ])
     def test_malformed_manifest_field_is_config_error(self, tmp_path, archive, capsys, key, value, message):
         ckpt = self._train(tmp_path, archive)

@@ -237,6 +237,15 @@ class TestAlignForwardFill:
         assert dataset.ratios.tobytes() == expected.tobytes()
 
 
+class TestMarketDataset:
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+    def test_close_must_be_finite_and_positive(self, bad):
+        close = np.full((3, 2), 100.0)
+        close[1, 0] = bad
+        with pytest.raises(DataError, match="^all close prices must be finite and strictly positive$"):
+            make_dataset(close)
+
+
 class TestSyntheticMarket:
     def test_degenerate_walk(self):
         dataset = generate_synthetic_market(seed=1, tickers=3, days=10, drift=0.0, volatility=0.0)
@@ -267,6 +276,7 @@ class TestSyntheticMarket:
         assert np.any(dataset.ratios[62] != dataset.ratios[63])
         assert np.all(dataset.ratios[63] == dataset.ratios[125])
 
+    @pytest.mark.filterwarnings("error")  # an overflowing walk raises its own error, not a warning
     def test_bad_params(self):
         for params, message in [
             ({"tickers": 0}, "tickers and days must be >= 1"),
@@ -279,6 +289,9 @@ class TestSyntheticMarket:
             ({"drift": math.inf}, "drift must be finite and > -1"),
             ({"drift": -1.0}, "drift must be finite and > -1"),
             ({"drift": -2.0}, "drift must be finite and > -1"),
+            ({"drift": 1e300, "days": 40}, r"^drift 1e\+300 and volatility 0\.01 .* within 40 days$"),
+            ({"volatility": 40.0, "days": 400}, r"^drift 0\.0005 and volatility 40\.0 .* within 400 days$"),
+            ({"volatility": 1e200}, r"^drift 0\.0005 and volatility 1e\+200 .* within 10 days$"),
         ]:
             with pytest.raises(DataError, match=message):
                 generate_synthetic_market(**{"seed": 0, "tickers": 1, "days": 10, **params})

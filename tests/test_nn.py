@@ -5,7 +5,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from shufflerl.checkpoint import load_checkpoint, save_checkpoint
-from shufflerl.errors import NonFiniteError, ShuffleRlError
+from shufflerl.errors import ConfigError, NonFiniteError, ShuffleRlError
 from shufflerl.nn import (
     ActorCritic,
     ArchSpec,
@@ -631,6 +631,16 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "b", loaded)
         assert (tmp_path / "a" / "params.bin").read_bytes() == (tmp_path / "b" / "params.bin").read_bytes()
         assert (tmp_path / "a" / "manifest.json").read_text() == (tmp_path / "b" / "manifest.json").read_text()
+
+    def test_blob_outside_the_directory_is_config_error(self, tmp_path):
+        save_checkpoint(tmp_path / "a", ActorCritic(TOY_ARCH, (6, 8), 3, seed=5))
+        save_checkpoint(tmp_path / "b", ActorCritic(TOY_ARCH, (6, 8), 3, seed=6))
+        manifest_path = tmp_path / "a" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["blob"] = "../b/params.bin"  # a sibling's weights, which fit the manifest
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError, match=r"^checkpoint blob must be 'params\.bin', got '\.\./b/params\.bin'$"):
+            load_checkpoint(tmp_path / "a")
 
     def test_blob_is_little_endian_float64(self, tmp_path):
         net = ActorCritic(ArchSpec(kind="mlp", mlp_hidden=(2,)), (3,), 1, seed=0)
