@@ -210,11 +210,14 @@ class ReLU:
         return []
 
     def forward(self, x: np.ndarray):
-        mask = x > 0
-        return x * mask, mask
+        out = x * (x > 0)
+        return out, out
 
     def backward(self, cache, dout: np.ndarray):
-        return dout * cache, {}
+        # The cache is the output, which the next layer holds anyway. Its
+        # mask ``out > 0`` is ``x > 0`` bit for bit: a positive x passes
+        # unchanged, and every other x (NaN included) gives +-0 or NaN.
+        return dout * (cache > 0), {}
 
 
 class Flatten:
@@ -262,6 +265,10 @@ class Linear:
         return dx, grads
 
 
+# Marks a layer cache that a backward has consumed.
+_SPENT = object()
+
+
 class Sequential:
     def __init__(self, layers: list):
         self.layers = layers
@@ -291,14 +298,22 @@ class Sequential:
         Nothing needs the gradient with respect to the chain's input, so the
         walk stops at the first layer with parameters (a Conv2d or a Linear)
         and asks it for its parameter gradients only.
+
+        Each layer's entry in ``caches`` is dropped as soon as its backward
+        has run, so the walk frees the forward's activations as it goes and a
+        forward's caches serve one backward; a second raises.
         """
         first = next((i for i, layer in enumerate(self.layers) if layer.params()), len(self.layers))
         grads: dict[str, np.ndarray] = {}
-        for i in range(len(self.layers) - 1, first, -1):
-            dout, layer_grads = self.layers[i].backward(caches[i], dout)
-            grads.update(layer_grads)
-        if first < len(self.layers):
-            _, layer_grads = self.layers[first].backward(caches[first], dout, need_dx=False)
+        for i in range(len(self.layers) - 1, first - 1, -1):
+            layer = self.layers[i]
+            cache, caches[i] = caches[i], _SPENT
+            if cache is _SPENT:
+                raise ShuffleRlError(f"{layer.name}: forward cache already spent by a backward")
+            if i > first:
+                dout, layer_grads = layer.backward(cache, dout)
+            else:
+                _, layer_grads = layer.backward(cache, dout, need_dx=False)
             grads.update(layer_grads)
         return grads
 
@@ -348,16 +363,37 @@ class ArchSpec:
         return asdict(self)
 
 
+# _kaiming draws this many float64 values at a time.
+_INIT_CHUNK = 1 << 16
+
+
 def _kaiming(
     rng: np.random.Generator | None, shape: tuple[int, ...], fan_in: int, dtype, gain: float = 1.0
 ) -> np.ndarray:
     """Kaiming-normal weights drawn in float64, times ``gain``, cast to
     ``dtype``. With no generator nothing is drawn: the array is left
-    uninitialized for ``load_checkpoint`` to fill."""
+    uninitialized for ``load_checkpoint`` to fill.
+
+    The draw goes through a fixed-size float64 chunk straight into the
+    result, so no full-size float64 temporary exists; the generator's stream
+    and every rounding step are those of the one-shot
+    ``(gain * (rng.standard_normal(shape) * sqrt(2 / fan_in))).astype(dtype)``.
+    """
+    weight = np.empty(shape, dtype)
     if rng is None:
-        return np.empty(shape, dtype)
-    weight = rng.standard_normal(shape) * math.sqrt(2.0 / fan_in)
-    return (weight if gain == 1.0 else gain * weight).astype(dtype)
+        return weight
+    scale = math.sqrt(2.0 / fan_in)
+    flat = weight.reshape(-1)
+    z = np.empty(min(flat.size, _INIT_CHUNK))
+    for start in range(0, flat.size, _INIT_CHUNK):
+        part = flat[start : start + _INIT_CHUNK]
+        chunk = z[: part.size]
+        rng.standard_normal(out=chunk)
+        chunk *= scale
+        if gain != 1.0:
+            chunk *= gain
+        part[...] = chunk
+    return weight
 
 
 def cnn_feature_shapes(

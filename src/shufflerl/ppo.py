@@ -97,14 +97,28 @@ def _obs_array(obs) -> np.ndarray:
 
 
 class RolloutBuffer:
-    """Fixed-length trajectory store with GAE results attached."""
+    """Fixed-length trajectory store with GAE results attached.
+
+    Observations are kept as one float32 stack of rows (float32 is the
+    training network's dtype). A step whose observation, cast to float32,
+    equals the previous step's stored one slid up by one row, bit for bit,
+    adds only its newest row; any other step adds all of its rows. A trading
+    window shares all but its newest row with the one before it, so a rollout
+    of H-row windows over ``runs`` unbroken stretches of sliding holds
+    ``length + (H - 1) * runs`` rows instead of ``length * H``.
+    ``observations(idx)`` gathers the windows back. Actions,
+    log-probabilities, rewards, values and GAE results stay float64.
+    """
 
     def __init__(self, length: int, obs_shape: tuple[int, ...], action_dim: int):
         self.length = length
-        # float32, the training network's dtype, halves the largest array of
-        # a rollout; actions, log-probabilities, rewards, values and GAE
-        # results stay float64.
-        self.observations = np.zeros((length, *obs_shape), dtype=np.float32)
+        self.obs_shape = tuple(obs_shape)
+        height = self.obs_shape[0]
+        # Room for one unbroken run; doubles as needed, up to every step's
+        # whole observation.
+        self._rows = np.empty((length + height - 1, *self.obs_shape[1:]), dtype=np.float32)
+        self._row_count = 0
+        self._starts = np.zeros(length, dtype=np.int64)
         self.actions = np.zeros((length, action_dim))
         self.log_probs = np.zeros(length)
         self.rewards = np.zeros(length)
@@ -118,11 +132,40 @@ class RolloutBuffer:
     def full(self) -> bool:
         return self.pos == self.length
 
+    @property
+    def rows(self) -> np.ndarray:
+        """The stored observation rows, oldest first."""
+        return self._rows[: self._row_count]
+
+    def observations(self, idx) -> np.ndarray:
+        """The float32 observations of the steps ``idx`` (an index array, a
+        slice or one index), gathered from the row stack."""
+        return self._rows[self._starts[idx][..., None] + np.arange(self.obs_shape[0])]
+
+    def _push_rows(self, rows: np.ndarray):
+        end = self._row_count + len(rows)
+        if end > len(self._rows):
+            capacity = min(max(end, 2 * len(self._rows)), self.length * self.obs_shape[0])
+            grown = np.empty((capacity, *self.obs_shape[1:]), dtype=np.float32)
+            grown[: self._row_count] = self.rows
+            self._rows = grown
+        self._rows[self._row_count : end] = rows
+        self._row_count = end
+
     def add(self, obs, action, log_prob, reward, value, done):
         if self.full:
             raise ShuffleRlError("rollout buffer is full")
+        obs = np.asarray(obs, dtype=np.float32)
+        if obs.shape != self.obs_shape:
+            raise ShuffleRlError(f"expected an observation of shape {self.obs_shape}, got {obs.shape}")
         i = self.pos
-        self.observations[i] = obs
+        height = self.obs_shape[0]
+        # The previous step's window is the top `height` rows of the stack.
+        slid = i > 0 and np.array_equal(
+            obs[:-1].view(np.uint32), self.rows[self._row_count - height + 1 :].view(np.uint32)
+        )
+        self._push_rows(obs[-1:] if slid else obs)
+        self._starts[i] = self._row_count - height
         self.actions[i] = action
         self.log_probs[i] = log_prob
         self.rewards[i] = reward
@@ -378,7 +421,7 @@ def update(
             adv = (adv - adv.mean()) / (adv.std() + 1e-8)
             diag, grads = ppo_loss_and_grads(
                 net,
-                buffer.observations[idx],
+                buffer.observations(idx),
                 buffer.actions[idx],
                 buffer.log_probs[idx],
                 adv,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from shufflerl import nn
 from shufflerl.checkpoint import load_checkpoint, save_checkpoint
 from shufflerl.errors import ConfigError, NonFiniteError, ShuffleRlError
 from shufflerl.nn import (
@@ -355,6 +356,15 @@ class TestReluAndLinear:
         dx, _ = layer.backward(cache, np.array([[5.0, 7.0]]))
         np.testing.assert_array_equal(dx, [[0.0, 7.0]])
 
+    def test_relu_backward_mask_from_output_is_input_mask(self):
+        layer = ReLU("r")
+        x = np.array([[np.nan, np.inf, -np.inf, 0.0, -0.0, 2.0, -3.0, 5e-324, -5e-324]])
+        with np.errstate(invalid="ignore"):  # -inf * 0
+            _, cache = layer.forward(x)
+        dout = np.arange(1.0, 10.0)[None, :]
+        dx, _ = layer.backward(cache, dout)
+        assert dx.tobytes() == (dout * (x > 0)).tobytes()
+
     def test_linear_identity_passthrough(self):
         layer = Linear("l", np.eye(3), np.zeros(3))
         x = np.random.default_rng(14).standard_normal((4, 3))
@@ -513,6 +523,19 @@ class TestExtractors:
             extractor.forward(x)
 
 
+@pytest.mark.parametrize(
+    "arch, obs_shape, last",
+    [(TOY_ARCH, (6, 8), "relu_embed"), (ArchSpec(kind="mlp", mlp_hidden=(5, 3)), (4, 6), "relu2")],
+    ids=["cnn", "mlp"],
+)
+def test_second_backward_over_spent_cache_names_layer(arch, obs_shape, last):
+    net = ActorCritic(arch, obs_shape, 3, seed=24)
+    mu, value, cache = net.forward(np.random.default_rng(25).standard_normal((4, *obs_shape)))
+    net.backward(cache, np.ones_like(mu), np.ones_like(value))
+    with pytest.raises(ShuffleRlError, match=f"^{last}: forward cache already spent"):
+        net.backward(cache, np.ones_like(mu), np.ones_like(value))
+
+
 def full_chain_grads(net, cache, dmu, dvalue):
     """Reference: ActorCritic.backward walking every layer, input gradients included."""
     caches, policy_cache, value_cache = cache
@@ -534,11 +557,13 @@ def full_chain_grads(net, cache, dmu, dvalue):
 def test_actor_critic_grads_match_full_chain_walk(arch, obs_shape):
     net = ActorCritic(arch, obs_shape, 3, seed=22)
     rng = np.random.default_rng(23)
-    mu, value, cache = net.forward(rng.standard_normal((4, *obs_shape)))
+    obs = rng.standard_normal((4, *obs_shape))
+    mu, value, cache = net.forward(obs)
     dmu = rng.standard_normal(mu.shape)
     dvalue = rng.standard_normal(value.shape)
     grads = net.backward(cache, dmu, dvalue)
-    reference = full_chain_grads(net, cache, dmu, dvalue)
+    # The backward spent its caches, so the reference walks a forward of its own.
+    reference = full_chain_grads(net, net.forward(obs)[2], dmu, dvalue)
     assert grads.keys() == reference.keys()
     for name in reference:
         assert grads[name].tobytes() == reference[name].tobytes(), name
@@ -575,6 +600,19 @@ class TestInit:
         net.log_std[:] = [-80.0, 80.0]
         np.testing.assert_array_equal(net.effective_log_std(), [-5.0, 2.0])
         np.testing.assert_array_equal(net.log_std_grad_mask(), [0.0, 0.0])
+
+    @pytest.mark.parametrize("dtype, gain", [(np.float32, 0.01), (np.float64, 0.01), (np.float64, 1.0)])
+    def test_chunked_draw_matches_one_shot_formula(self, dtype, gain):
+        shape = (3, nn._INIT_CHUNK + 7)  # three full chunks and a remainder
+        fan_in = 19
+        weight = nn._kaiming(np.random.default_rng(8), shape, fan_in, dtype, gain)
+        reference_rng = np.random.default_rng(8)
+        reference = (gain * (reference_rng.standard_normal(shape) * np.sqrt(2.0 / fan_in))).astype(dtype)
+        assert weight.dtype == dtype and weight.shape == shape
+        assert weight.tobytes() == reference.tobytes()
+        rng = np.random.default_rng(8)
+        nn._kaiming(rng, shape, fan_in, dtype, gain)
+        assert rng.standard_normal() == reference_rng.standard_normal()
 
 
 class TestGradCheckHarness:

@@ -185,6 +185,70 @@ class TestGae:
             compute_gae(np.zeros(3), np.zeros(2), np.zeros(3, bool), 0.0, 0.9, 0.9)
 
 
+def fill_buffer(buf, observations):
+    """Add each observation with zero action, log-prob, reward and value."""
+    for obs in observations:
+        buf.add(obs, np.zeros(buf.actions.shape[1]), 0.0, 0.0, 0.0, False)
+
+
+def assert_gathers(buf, observations):
+    """Every gathered window is the float32 cast of what was added, byte for byte."""
+    expected = np.stack([np.asarray(obs, dtype=np.float32) for obs in observations])
+    gathered = buf.observations(np.arange(buf.length))
+    assert gathered.dtype == np.float32 and gathered.shape == expected.shape
+    assert gathered.tobytes() == expected.tobytes()
+    for i in np.random.default_rng(0).permutation(buf.length)[:5]:
+        assert buf.observations(i).tobytes() == expected[i].tobytes()
+
+
+class TestRolloutBuffer:
+    def test_sliding_env_across_a_reset_stores_one_row_per_step(self):
+        market = generate_synthetic_market(seed=3, tickers=2, days=12)
+        trading_env = TradingEnv(market, EnvConfig(window_length=5, turbulence_lookback=None))
+        rng = np.random.default_rng(4)
+        length = 16  # 7 steps per episode: the buffer spans two resets
+        observations, runs = [trading_env.reset().rows], 1
+        while len(observations) < length:
+            step = trading_env.step(rng.uniform(-1.0, 1.0, 2))
+            if step.done:
+                observations.append(trading_env.reset().rows)
+                runs += 1
+            else:
+                observations.append(step.observation.rows)
+        assert runs == 3
+        buf = RolloutBuffer(length, observations[0].shape, 2)
+        fill_buffer(buf, observations)
+        assert_gathers(buf, observations)
+        assert len(buf.rows) == length + (5 - 1) * runs
+
+    def test_observations_that_do_not_slide_are_stored_whole(self):
+        rng = np.random.default_rng(5)
+        observations = [rng.standard_normal((4, 3)) for _ in range(10)]
+        buf = RolloutBuffer(10, (4, 3), 2)
+        fill_buffer(buf, observations)
+        assert_gathers(buf, observations)
+        assert len(buf.rows) == 10 * 4
+
+    def test_slide_is_judged_bitwise_so_a_negative_zero_starts_a_run(self):
+        first = np.arange(12.0).reshape(4, 3)
+        first[2, 1] = 0.0
+        slid = np.vstack([first[1:], [[7.0, 8.0, 9.0]]])
+        signed = np.vstack([slid[1:], [[1.0, 2.0, 3.0]]])
+        signed[0, 1] = -0.0  # == slid[1, 1], but not the same bits
+        observations = [first, slid, signed]
+        buf = RolloutBuffer(3, (4, 3), 2)
+        fill_buffer(buf, observations)
+        assert_gathers(buf, observations)
+        assert len(buf.rows) == 4 + 1 + 4
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 3, 1), (3, 4)])
+    def test_add_rejects_a_wrong_shaped_observation(self, shape):
+        buf = RolloutBuffer(2, (4, 3), 2)
+        with pytest.raises(ShuffleRlError, match=r"expected an observation of shape \(4, 3\)"):
+            buf.add(np.zeros(shape), np.zeros(2), 0.0, 0.0, 0.0, False)
+        assert buf.pos == 0 and len(buf.rows) == 0
+
+
 def make_batch(net, batch_size=6, seed=0):
     rng = np.random.default_rng(seed)
     obs = rng.standard_normal((batch_size, *net.obs_shape))
@@ -373,7 +437,7 @@ class TestOptimizer:
 
         def batch_loss():
             diag, _ = ppo_loss_and_grads(
-                net, buf.observations, buf.actions, buf.log_probs, adv_norm, buf.returns, cfg
+                net, buf.observations(np.arange(buf.length)), buf.actions, buf.log_probs, adv_norm, buf.returns, cfg
             )
             return diag.loss
 
@@ -504,10 +568,11 @@ class TestFloat32Training:
         tensors += [(f"m[{name}]", m) for name, m in optimizer.m.items()]
         tensors += [(f"v[{name}]", v) for name, v in optimizer.v.items()]
         tensors += [(f"grad{i}[{name}]", g) for i, grads in enumerate(seen["grads"]) for name, g in grads.items()]
-        tensors.append(("observations", seen["buffer"].observations))
+        buffer = seen["buffer"]
+        tensors += [("observations", buffer.observations(np.arange(buffer.length))), ("rows", buffer.rows)]
         assert len(net.named_buffers()) == (4 if spec.kind == "cnn-shuffled" else 0)
         assert {name: arr.dtype for name, arr in tensors if arr.dtype != np.float32} == {}
-        assert seen["buffer"].rewards.dtype == np.float64
+        assert buffer.rewards.dtype == np.float64
 
     @pytest.mark.parametrize("kind", ["mlp", "cnn-shuffled"])
     def test_gradients_agree_with_float64_at_paper_shape(self, kind):
