@@ -45,6 +45,10 @@ def conv_output_size(size: int, kernel: int, stride: int) -> int:
     return (size - kernel) // stride + 1
 
 
+# Conv2d.backward computes the input gradient this many samples per GEMM.
+_DX_GROUP = 8
+
+
 class Conv2d:
     """Valid cross-correlation over (batch, channels, height, width).
 
@@ -104,17 +108,23 @@ class Conv2d:
         oh, ow = dout.shape[2:]
         dout_mat = dout.reshape(b, out_ch, oh * ow)
         dweight = np.zeros((out_ch, in_ch * kh * kw), dtype=self.weight.dtype)
-        # col2im one kernel row at a time keeps the input-gradient columns at
-        # 1/kh of the im2col size.
-        w_rows = [self.weight[:, :, u, :].reshape(out_ch, in_ch * kw).T for u in range(kh)]
-        dx = np.zeros(x.shape, dtype=self.weight.dtype) if need_dx else None
         for i, cols in enumerate(self._columns(x)):
             dweight += dout_mat[i] @ cols.T
-            if need_dx:
+        dx = None
+        if need_dx:
+            # col2im one kernel row at a time, with one GEMM per group of
+            # samples, keeps the input-gradient columns at _DX_GROUP/kh of
+            # one sample's im2col size.
+            w_rows = [self.weight[:, :, u, :].reshape(out_ch, in_ch * kw).T for u in range(kh)]
+            dx = np.zeros(x.shape, dtype=self.weight.dtype)
+            for g in range(0, b, _DX_GROUP):
+                group = dout_mat[g : g + _DX_GROUP]
+                n = len(group)
+                group = group.transpose(1, 0, 2).reshape(out_ch, n * oh * ow)
                 for u in range(kh):
-                    dcols = (w_rows[u] @ dout_mat[i]).reshape(in_ch, kw, oh, ow)
+                    dcols = (w_rows[u] @ group).reshape(in_ch, kw, n, oh, ow).transpose(2, 0, 1, 3, 4)
                     for v in range(kw):
-                        dx[i, :, u : u + sh * oh : sh, v : v + sw * ow : sw] += dcols[:, v]
+                        dx[g : g + n, :, u : u + sh * oh : sh, v : v + sw * ow : sw] += dcols[:, :, v]
         dweight = dweight.reshape(self.weight.shape)
         dbias = dout_mat.sum(axis=(0, 2))
         return dx, {f"{self.name}.weight": dweight, f"{self.name}.bias": dbias}
@@ -548,6 +558,132 @@ class ActorCritic:
         """1 where the raw log_std is inside the clamp bounds, else 0."""
         low, high = self.arch.log_std_bounds
         return ((self.log_std > low) & (self.log_std < high)).astype(np.float64)
+
+
+# WindowStream rebuilds a stage's rows this many start days at a time.
+_REBUILD_CHUNK = 8
+
+
+class WindowStream:
+    """Eval-mode forward of an ``ActorCritic`` over a sequence of windows,
+    one observation at a time, reusing the convolution rows of the window
+    before (the cached generation of Paine et al., "Fast Wavenet Generation
+    Algorithm", 2016).
+
+    In eval mode each (Conv2d, BatchNorm2d, ReLU) stage maps a few nearby
+    rows to one output row: the stage's row of day d reads its input rows of
+    days d, d + s, ..., d + (kh - 1) * s, where s is the product of the
+    earlier stages' row strides. When an observation equals the one before
+    it slid up by one row, bit for bit, every stage gains exactly one row,
+    computed by the stage's own layers on a (1, C, kh, W) slice. Each stage
+    keeps a ring of the rows still needed: the last stage its rows of every
+    start day in the window, every other stage the rows that the next
+    stage's newest row reads. Any other observation (the first, or the one
+    after an env reset) rebuilds every ring from its whole window.
+
+    Every row is the function of its inputs that ``net.forward`` computes;
+    only the width of its GEMM differs (one row instead of the window's), so
+    the results equal ``net.forward``'s bit for bit where the BLAS rounds
+    both alike. An MLP has no conv stage and runs ``net.forward``. The
+    network must stay in eval mode and unchanged while it is streamed.
+    ``rebuilds`` counts the observations that rebuilt the rings.
+    """
+
+    def __init__(self, net: ActorCritic):
+        self.net = net
+        self._check_eval()
+        layers = net.extractor.layers
+        flat = next(i for i, layer in enumerate(layers) if isinstance(layer, Flatten))
+        self._tail = layers[flat:]
+        # ``spans[k]`` window rows feed one row of stage k, whose input rows
+        # lie ``steps[k - 1]`` days apart.
+        convs = range(0, flat, 3)
+        spans, steps = [1], [1]
+        for i in convs:
+            conv = layers[i]
+            spans.append(spans[-1] + (conv.weight.shape[2] - 1) * steps[-1])
+            steps.append(steps[-1] * conv.stride[0])
+        height = net.obs_shape[0]
+        # Per stage: its layers, its input step and its ring's length, from
+        # its newest row back to the oldest row that is still read.
+        ends = [*spans[2:], height]
+        self._stages = [(layers[i : i + 3], steps[k], ends[k] - spans[k + 1] + 1) for k, i in enumerate(convs)]
+        # Day offsets, in the last ring, of the rows the window's features hold.
+        self._reads = steps[-1] * np.arange((height - spans[-1]) // steps[-1] + 1)
+        self._window: np.ndarray | None = None
+        self._rings: list[np.ndarray] = []
+        self._pushed = 0
+        self.rebuilds = 0
+
+    def _check_eval(self):
+        if self.net.training:
+            raise ShuffleRlError("WindowStream needs a network in eval mode")
+
+    @staticmethod
+    def _stage_rows(layers, taps: np.ndarray) -> np.ndarray:
+        """A stage's output rows from their (B, C, kh, W) input rows, as (B, C', W')."""
+        for layer in layers:
+            taps, _ = layer.forward(taps)
+        return taps[:, :, 0]
+
+    def _rebuild(self, window: np.ndarray):
+        """Every stage's rows at every start day the window holds."""
+        self.rebuilds += 1
+        rows = window[:, None]  # (days, channels, width)
+        self._rings = []
+        for layers, step, length in self._stages:
+            conv = layers[0]
+            _, _, kh, kw = conv.weight.shape
+            taps = sliding_window_view(rows, (kh - 1) * step + 1, axis=0)[..., ::step].transpose(0, 1, 3, 2)
+            # A few start days at a time, so that no layer holds every day's
+            # activations at once.
+            width = conv_output_size(taps.shape[3], kw, conv.stride[1])
+            rows = np.empty((len(taps), conv.weight.shape[0], width), conv.weight.dtype)
+            for i in range(0, len(taps), _REBUILD_CHUNK):
+                rows[i : i + _REBUILD_CHUNK] = self._stage_rows(layers, taps[i : i + _REBUILD_CHUNK])
+            # A ring shorter than the rows is copied out, so that it does not
+            # keep them alive.
+            self._rings.append(rows if length == len(rows) else rows[-length:].copy())
+        self._pushed = 0
+
+    def _slide(self, window: np.ndarray):
+        """One new row per stage, written over its ring's oldest."""
+        rows, newest = window[:, None], len(window) - 1
+        for (layers, step, _), ring in zip(self._stages, self._rings):
+            back = step * np.arange(layers[0].weight.shape[2] - 1, -1, -1)
+            taps = rows[(newest - back) % len(rows)]
+            newest = self._pushed % len(ring)
+            ring[newest] = self._stage_rows(layers, taps.transpose(1, 0, 2)[None])[0]
+            rows = ring
+        self._pushed += 1
+
+    def _features(self, window: np.ndarray) -> np.ndarray:
+        """The last conv stage's (1, C, oh, ow) output for one (H, W) window."""
+        # Until this window's rows are in, the rings match no window, so a
+        # forward that raises (a NaN, say) leaves the next to rebuild.
+        previous, self._window = self._window, None
+        bits = f"u{window.itemsize}"
+        if previous is not None and np.array_equal(window[:-1].view(bits), previous[1:].view(bits)):
+            self._slide(window)
+        else:
+            self._rebuild(window)
+        self._window = window.copy()
+        last = self._rings[-1]
+        return last[(self._pushed + self._reads) % len(last)].transpose(1, 0, 2)[None]
+
+    def forward(self, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(means, values) of a batch of observations, streamed in order."""
+        self._check_eval()
+        net = self.net
+        if not self._stages:
+            mu, value, _ = net.forward(obs)
+            return mu, value
+        x = np.concatenate([self._features(window[0]) for window in net._as_batch(obs)])
+        for layer in self._tail:
+            x, _ = layer.forward(x)
+        mu, _ = net.policy_head.forward(x)
+        value, _ = net.value_head.forward(x)
+        return mu, value[:, 0]
 
 
 @dataclass

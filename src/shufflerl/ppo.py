@@ -23,7 +23,7 @@ from shufflerl.env import EnvConfig, TradingEnv, run_episode
 from shufflerl.errors import NonFiniteError, ShuffleRlError
 from shufflerl.features import FeatureLayout, WindowMatrix, ticker_block_permutation
 from shufflerl.metrics import metrics_report
-from shufflerl.nn import ActorCritic, ArchSpec
+from shufflerl.nn import ActorCritic, ArchSpec, WindowStream
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -204,9 +204,8 @@ def sample_action(net: ActorCritic, obs, rng: np.random.Generator):
     return action, log_prob, float(value[0])
 
 
-def policy_mean(net: ActorCritic, obs) -> np.ndarray:
-    mu, _, _ = net.forward(_obs_array(obs)[None, ...])
-    return mu[0]
+def policy_mean(net: ActorCritic | WindowStream, obs) -> np.ndarray:
+    return net.forward(_obs_array(obs)[None, ...])[0][0]
 
 
 def compute_gae(
@@ -549,7 +548,8 @@ def evaluate(
     gamma: float = 0.99,
 ) -> tuple[EvalReport, TradingEnv]:
     """Deterministic evaluation: the action is the policy mean, batch-norm
-    uses its running statistics. Returns the report, read off the env's
+    uses its running statistics, and one ``WindowStream`` computes the
+    network's forward day by day. Returns the report, read off the env's
     ledger (``env.trace``), and the env, for CSV export of that ledger."""
     env = TradingEnv(dataset, env_config)
     expected = env.observation.rows.shape
@@ -560,7 +560,8 @@ def evaluate(
     was_training = net.training
     net.set_training(False)
     try:
-        discounted = run_episode(env, lambda obs: policy_mean(net, obs), gamma)
+        stream = WindowStream(net)
+        discounted = run_episode(env, lambda obs: policy_mean(stream, obs), gamma)
     finally:
         net.set_training(was_training)
     values = [row["portfolio_value"] for row in env.trace]

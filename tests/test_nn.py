@@ -8,6 +8,7 @@ from shufflerl import nn
 from shufflerl.checkpoint import load_checkpoint, save_checkpoint
 from shufflerl.errors import ConfigError, NonFiniteError, ShuffleRlError
 from shufflerl.nn import (
+    _DX_GROUP,
     ActorCritic,
     ArchSpec,
     BatchNorm2d,
@@ -18,8 +19,12 @@ from shufflerl.nn import (
     build_extractor,
     cnn_feature_shapes,
     conv_output_size,
+    WindowStream,
     grad_check,
 )
+from shufflerl.data import generate_synthetic_market
+from shufflerl.env import EnvConfig, TradingEnv
+from shufflerl.ppo import AgentSpec, make_env_config
 from shufflerl.runconfig import read_section
 
 
@@ -164,7 +169,9 @@ class TestConvBackward:
 
 def reference_conv(layer, x, dout):
     """Reference: whole-batch im2col with broadcast GEMMs, as (out, dx,
-    dweight, dbias). Same GEMM shapes and summation order as ``Conv2d``."""
+    dweight, dbias). Same GEMM shapes and summation order as ``Conv2d``:
+    per sample for the output and the weight gradient, per group of
+    ``_DX_GROUP`` samples for the input gradient."""
     out_ch, in_ch, kh, kw = layer.weight.shape
     b = x.shape[0]
     sh, sw = layer.stride
@@ -177,11 +184,15 @@ def reference_conv(layer, x, dout):
     dweight = (dout_mat @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(layer.weight.shape)
     dbias = dout_mat.sum(axis=(0, 2))
     dx = np.zeros(x.shape)
-    for u in range(kh):
-        w_row = layer.weight[:, :, u, :].reshape(out_ch, in_ch * kw)
-        dcols = (w_row.T @ dout_mat).reshape(b, in_ch, kw, oh, ow)
-        for v in range(kw):
-            dx[:, :, u : u + sh * oh : sh, v : v + sw * ow : sw] += dcols[:, :, v]
+    for g in range(0, b, _DX_GROUP):
+        group = dout_mat[g : g + _DX_GROUP]
+        n = len(group)
+        group = group.transpose(1, 0, 2).reshape(out_ch, n * oh * ow)
+        for u in range(kh):
+            w_row = layer.weight[:, :, u, :].reshape(out_ch, in_ch * kw)
+            dcols = (w_row.T @ group).reshape(in_ch, kw, n, oh, ow).transpose(2, 0, 1, 3, 4)
+            for v in range(kw):
+                dx[g : g + n, :, u : u + sh * oh : sh, v : v + sw * ow : sw] += dcols[:, :, v]
     return out.reshape(b, out_ch, oh, ow), dx, dweight, dbias
 
 
@@ -192,8 +203,9 @@ def reference_conv(layer, x, dout):
         ((32, 16, 4, 4), (2, 2), (3, 16, 21, 126)),
         ((3, 2, 3, 2), (2, 3), (3, 2, 8, 10)),
         ((32, 16, 4, 4), (2, 2), (1, 16, 21, 126)),
+        ((32, 16, 4, 4), (2, 2), (10, 16, 21, 126)),
     ],
-    ids=["paper-conv1", "paper-conv2", "stride-remainders", "batch1"],
+    ids=["paper-conv1", "paper-conv2", "stride-remainders", "batch1", "two-groups"],
 )
 def test_conv_matches_whole_batch_reference_bitwise(w_shape, stride, x_shape):
     rng = np.random.default_rng(25)
@@ -567,6 +579,160 @@ def test_actor_critic_grads_match_full_chain_walk(arch, obs_shape):
     assert grads.keys() == reference.keys()
     for name in reference:
         assert grads[name].tobytes() == reference[name].tobytes(), name
+
+
+# The largest difference between a stream's means or values and
+# ``net.forward``'s that the stream tests accept, relative or absolute, per
+# network dtype. The stream changes only the width of each conv GEMM (one
+# row instead of the window's rows). OpenBLAS 0.3 on x86-64 rounded both
+# alike in float32 at 1 and 2 threads, and in float64 at 2 threads; float64
+# at 1 thread differed by at most 2e-15 at the paper shape.
+STREAM_TOLERANCE = {np.float32: 1e-5, np.float64: 1e-12}
+
+
+def episode_windows(kind, tickers, days, window, episodes):
+    """Every observation of ``episodes`` whole TradingEnv episodes under
+    seeded random actions, resets included."""
+    market = generate_synthetic_market(seed=3, tickers=tickers, days=days)
+    config = make_env_config(EnvConfig(window_length=window, turbulence_lookback=None), AgentSpec(kind), tickers)
+    trading_env = TradingEnv(market, config)
+    rng = np.random.default_rng(4)
+    windows = []
+    for _ in range(episodes):
+        windows.append(trading_env.reset().rows)
+        while not trading_env.done:
+            windows.append(trading_env.step(rng.uniform(-1.0, 1.0, tickers)).observation.rows)
+    return windows
+
+
+def eval_net(arch, obs_shape, action_dim, dtype):
+    """An eval-mode network whose batch norms do not start as identities."""
+    net = ActorCritic(arch, obs_shape, action_dim, seed=27, dtype=dtype)
+    rng = np.random.default_rng(28)
+    for name, tensor in [*net.named_buffers(), *net.named_parameters()]:
+        if name.endswith(("running_var", "gamma")):
+            tensor[...] = rng.uniform(0.5, 2.0, tensor.shape)
+        elif name.endswith(("running_mean", "beta")):
+            tensor[...] = rng.standard_normal(tensor.shape)
+    net.set_training(False)
+    return net
+
+
+def assert_streams_like_forward(net, windows, stream=None):
+    """Stream each window in turn and compare with ``net.forward``."""
+    stream = stream or WindowStream(net)
+    tolerance = STREAM_TOLERANCE[net.dtype.type]
+    for i, window in enumerate(windows):
+        mu, value = stream.forward(window[None])
+        mu_ref, value_ref, _ = net.forward(window[None])
+        assert mu.dtype == value.dtype == net.dtype
+        np.testing.assert_allclose(mu, mu_ref, rtol=tolerance, atol=tolerance, err_msg=f"step {i}")
+        np.testing.assert_allclose(value, value_ref, rtol=tolerance, atol=tolerance, err_msg=f"step {i}")
+    return stream
+
+
+class TestWindowStream:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["cnn", "cnn-shuffled"])
+    def test_paper_shape_episodes_across_a_reset(self, kind, dtype):
+        windows = episode_windows(kind, tickers=30, days=115, window=90, episodes=2)
+        net = eval_net(ArchSpec(kind="cnn"), windows[0].shape, 30, dtype)
+        stream = assert_streams_like_forward(net, windows)
+        assert len(windows) == 2 * 26 and stream.rebuilds == 2  # the first window and the reset's
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "arch, tickers, window",
+        [
+            # criterion 9's network
+            (ArchSpec(kind="cnn", conv_channels=(4, 8), conv_kernels=((3, 5), (2, 3)),
+                      conv_strides=((2, 2), (1, 2)), embed_dim=32), 1, 10),
+            (ArchSpec(kind="cnn", conv_channels=(3, 2), conv_kernels=((2, 3), (1, 2)),
+                      conv_strides=((3, 1), (2, 2)), embed_dim=5), 2, 12),
+            (ArchSpec(kind="cnn", conv_channels=(2, 3, 2), conv_kernels=((3, 3), (2, 2), (2, 2)),
+                      conv_strides=((1, 2), (2, 1), (1, 1)), embed_dim=6), 2, 14),
+        ],
+        ids=["criterion-9", "kernel-shorter-than-stride", "three-stages"],
+    )
+    def test_small_architectures(self, arch, tickers, window, dtype):
+        windows = episode_windows("cnn", tickers, days=window + 12, window=window, episodes=3)
+        net = eval_net(arch, windows[0].shape, tickers, dtype)
+        stream = assert_streams_like_forward(net, windows)
+        assert stream.rebuilds == 3
+
+    def test_windows_that_do_not_slide_rebuild(self):
+        rng = np.random.default_rng(29)
+        windows = [rng.standard_normal((12, 7)) for _ in range(5)]
+        net = eval_net(TOY_ARCH, (12, 7), 2, np.float64)
+        stream = assert_streams_like_forward(net, windows)
+        assert stream.rebuilds == 5
+
+    def test_slide_is_judged_bitwise_so_a_negative_zero_rebuilds(self):
+        first = np.arange(1.0, 85.0).reshape(12, 7)
+        first[3, 2] = 0.0
+        slid = np.vstack([first[1:], np.full((1, 7), 2.0)])
+        signed = np.vstack([slid[1:], np.full((1, 7), 3.0)])
+        signed[1, 2] = -0.0  # == slid[2, 2], but not the same bits
+        net = eval_net(TOY_ARCH, (12, 7), 2, np.float64)
+        stream = assert_streams_like_forward(net, [first, slid, signed])
+        assert stream.rebuilds == 2
+
+    def test_window_changed_in_place_after_the_call_is_not_trusted(self):
+        rng = np.random.default_rng(31)
+        net = eval_net(TOY_ARCH, (12, 7), 2, np.float64)
+        stream = WindowStream(net)
+        reused = rng.standard_normal((12, 7))
+        stream.forward(reused[None])
+        reused[...] = rng.standard_normal((12, 7))  # the caller refills its array
+        slid = np.vstack([reused[1:], rng.standard_normal((1, 7))])
+        assert_streams_like_forward(net, [slid], stream)
+        assert stream.rebuilds == 2
+
+    def test_window_that_raises_leaves_the_next_to_rebuild(self):
+        rng = np.random.default_rng(32)
+        net = eval_net(TOY_ARCH, (12, 7), 2, np.float64)
+        stream = WindowStream(net)
+        first = rng.standard_normal((12, 7))
+        stream.forward(first[None])
+        poisoned = rng.standard_normal((12, 7))
+        poisoned[0, 0] = np.nan
+        with pytest.raises(NonFiniteError, match="conv1"):
+            stream.forward(poisoned[None])
+        slid = np.vstack([first[1:], rng.standard_normal((1, 7))])
+        assert_streams_like_forward(net, [slid], stream)
+        assert stream.rebuilds == 3
+
+    def test_batch_streams_in_order(self):
+        windows = episode_windows("cnn", tickers=2, days=20, window=12, episodes=1)
+        net = eval_net(TOY_ARCH, windows[0].shape, 2, np.float64)
+        stream = WindowStream(net)
+        mu, value = stream.forward(np.stack(windows))
+        mu_ref, value_ref, _ = net.forward(np.stack(windows))
+        tolerance = STREAM_TOLERANCE[np.float64]
+        np.testing.assert_allclose(mu, mu_ref, rtol=tolerance, atol=tolerance)
+        np.testing.assert_allclose(value, value_ref, rtol=tolerance, atol=tolerance)
+        assert stream.rebuilds == 1
+
+    def test_mlp_runs_the_full_forward(self):
+        windows = episode_windows("mlp", tickers=2, days=20, window=6, episodes=2)
+        net = eval_net(ArchSpec(kind="mlp", mlp_hidden=(5, 3)), windows[0].shape, 2, np.float64)
+        stream = WindowStream(net)
+        for window in windows:
+            mu, value = stream.forward(window[None])
+            mu_ref, value_ref, _ = net.forward(window[None])
+            assert mu.tobytes() == mu_ref.tobytes() and value.tobytes() == value_ref.tobytes()
+
+    def test_training_mode_is_rejected(self):
+        net = ActorCritic(TOY_ARCH, (6, 8), 2, seed=30)
+        with pytest.raises(ShuffleRlError, match="eval mode"):
+            WindowStream(net)
+        net.set_training(False)
+        stream = WindowStream(net)
+        window = np.ones((1, 6, 8))
+        stream.forward(window)
+        net.set_training(True)
+        with pytest.raises(ShuffleRlError, match="eval mode"):
+            stream.forward(window)
 
 
 class TestInit:
