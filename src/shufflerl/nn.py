@@ -560,10 +560,6 @@ class ActorCritic:
         return ((self.log_std > low) & (self.log_std < high)).astype(np.float64)
 
 
-# WindowStream rebuilds a stage's rows this many start days at a time.
-_REBUILD_CHUNK = 8
-
-
 class WindowStream:
     """Eval-mode forward of an ``ActorCritic`` over a sequence of windows,
     one observation at a time, reusing the convolution rows of the window
@@ -573,20 +569,23 @@ class WindowStream:
     In eval mode each (Conv2d, BatchNorm2d, ReLU) stage maps a few nearby
     rows to one output row: the stage's row of day d reads its input rows of
     days d, d + s, ..., d + (kh - 1) * s, where s is the product of the
-    earlier stages' row strides. When an observation equals the one before
-    it slid up by one row, bit for bit, every stage gains exactly one row,
-    computed by the stage's own layers on a (1, C, kh, W) slice. Each stage
-    keeps a ring of the rows still needed: the last stage its rows of every
-    start day in the window, every other stage the rows that the next
-    stage's newest row reads. Any other observation (the first, or the one
-    after an env reset) rebuilds every ring from its whole window.
+    earlier stages' row strides. Each stage keeps a ring of the rows still
+    needed (the last stage its rows of every start day in the window, every
+    other stage the rows that the next stage's newest row reads), and a
+    window row is pushed through each stage whose input then holds the rows
+    of its next row, by the stage's own layers on a (1, C, kh, W) slice:
+    every layer call is one row. An observation that equals the one before
+    it slid up by one row, bit for bit, feeds only its newest row, unless
+    the stages' parameters or batch-norm statistics changed since the rings
+    were filled. Any other observation (the first, the one after an env
+    reset) refills the rings with its rows, one at a time.
 
     Every row is the function of its inputs that ``net.forward`` computes;
     only the width of its GEMM differs (one row instead of the window's), so
     the results equal ``net.forward``'s bit for bit where the BLAS rounds
     both alike. An MLP has no conv stage and runs ``net.forward``. The
-    network must stay in eval mode and unchanged while it is streamed.
-    ``rebuilds`` counts the observations that rebuilt the rings.
+    network must stay in eval mode while it is streamed.
+    ``rebuilds`` counts the observations that refilled the rings.
     """
 
     def __init__(self, net: ActorCritic):
@@ -595,81 +594,70 @@ class WindowStream:
         layers = net.extractor.layers
         flat = next(i for i, layer in enumerate(layers) if isinstance(layer, Flatten))
         self._tail = layers[flat:]
-        # ``spans[k]`` window rows feed one row of stage k, whose input rows
-        # lie ``steps[k - 1]`` days apart.
-        convs = range(0, flat, 3)
-        spans, steps = [1], [1]
-        for i in convs:
-            conv = layers[i]
-            spans.append(spans[-1] + (conv.weight.shape[2] - 1) * steps[-1])
-            steps.append(steps[-1] * conv.stride[0])
+        # Per stage: its layers and the day offsets, back from its newest
+        # input row, of the input rows that its newest row reads.
+        self._stages = []
+        step, span = 1, 1
+        for i in range(0, flat, 3):
+            kh = layers[i].weight.shape[2]
+            self._stages.append((layers[i : i + 3], step * np.arange(kh - 1, -1, -1)))
+            span += (kh - 1) * step
+            step *= layers[i].stride[0]
         height = net.obs_shape[0]
-        # Per stage: its layers, its input step and its ring's length, from
-        # its newest row back to the oldest row that is still read.
-        ends = [*spans[2:], height]
-        self._stages = [(layers[i : i + 3], steps[k], ends[k] - spans[k + 1] + 1) for k, i in enumerate(convs)]
+        # A ring holds the rows that the next stage's row reads; the last,
+        # its rows of every start day in the window.
+        lengths = [back[0] + 1 for _, back in self._stages[1:]] + [height - span + 1]
+        shapes = cnn_feature_shapes(net.arch, net.obs_shape) if self._stages else []
+        self._rings = [np.empty((n, ch, w), net.dtype) for n, (ch, _, w) in zip(lengths, shapes)]
+        self._counts = [0] * len(self._rings)
         # Day offsets, in the last ring, of the rows the window's features hold.
-        self._reads = steps[-1] * np.arange((height - spans[-1]) // steps[-1] + 1)
+        self._reads = step * np.arange((height - span) // step + 1)
         self._window: np.ndarray | None = None
-        self._rings: list[np.ndarray] = []
-        self._pushed = 0
+        self._state = b""
         self.rebuilds = 0
 
     def _check_eval(self):
         if self.net.training:
             raise ShuffleRlError("WindowStream needs a network in eval mode")
 
-    @staticmethod
-    def _stage_rows(layers, taps: np.ndarray) -> np.ndarray:
-        """A stage's output rows from their (B, C, kh, W) input rows, as (B, C', W')."""
-        for layer in layers:
-            taps, _ = layer.forward(taps)
-        return taps[:, :, 0]
+    def _stage_state(self) -> bytes:
+        """The bits of the conv stages' parameters and batch-norm statistics."""
+        layers = [layer for stage, _ in self._stages for layer in stage]
+        return b"".join(t.tobytes() for layer in layers for _, t in (*layer.params(), *layer.buffers()))
 
-    def _rebuild(self, window: np.ndarray):
-        """Every stage's rows at every start day the window holds."""
-        self.rebuilds += 1
-        rows = window[:, None]  # (days, channels, width)
-        self._rings = []
-        for layers, step, length in self._stages:
-            conv = layers[0]
-            _, _, kh, kw = conv.weight.shape
-            taps = sliding_window_view(rows, (kh - 1) * step + 1, axis=0)[..., ::step].transpose(0, 1, 3, 2)
-            # A few start days at a time, so that no layer holds every day's
-            # activations at once.
-            width = conv_output_size(taps.shape[3], kw, conv.stride[1])
-            rows = np.empty((len(taps), conv.weight.shape[0], width), conv.weight.dtype)
-            for i in range(0, len(taps), _REBUILD_CHUNK):
-                rows[i : i + _REBUILD_CHUNK] = self._stage_rows(layers, taps[i : i + _REBUILD_CHUNK])
-            # A ring shorter than the rows is copied out, so that it does not
-            # keep them alive.
-            self._rings.append(rows if length == len(rows) else rows[-length:].copy())
-        self._pushed = 0
-
-    def _slide(self, window: np.ndarray):
-        """One new row per stage, written over its ring's oldest."""
-        rows, newest = window[:, None], len(window) - 1
-        for (layers, step, _), ring in zip(self._stages, self._rings):
-            back = step * np.arange(layers[0].weight.shape[2] - 1, -1, -1)
-            taps = rows[(newest - back) % len(rows)]
-            newest = self._pushed % len(ring)
-            ring[newest] = self._stage_rows(layers, taps.transpose(1, 0, 2)[None])[0]
-            rows = ring
-        self._pushed += 1
+    def _feed(self, window: np.ndarray, day: int):
+        """Push window row ``day`` through each stage whose input then holds
+        the rows of its next row."""
+        rows, count = window[:, None], day + 1  # (days, channels, width)
+        for k, ((layers, back), ring) in enumerate(zip(self._stages, self._rings)):
+            if count <= back[0]:
+                return
+            x = rows[(count - 1 - back) % len(rows)].transpose(1, 0, 2)[None]
+            for layer in layers:
+                x, _ = layer.forward(x)
+            ring[self._counts[k] % len(ring)] = x[0, :, 0]
+            self._counts[k] += 1
+            rows, count = ring, self._counts[k]
 
     def _features(self, window: np.ndarray) -> np.ndarray:
         """The last conv stage's (1, C, oh, ow) output for one (H, W) window."""
         # Until this window's rows are in, the rings match no window, so a
-        # forward that raises (a NaN, say) leaves the next to rebuild.
+        # forward that raises (a NaN, say) leaves the next to refill.
         previous, self._window = self._window, None
+        state = self._stage_state()
         bits = f"u{window.itemsize}"
-        if previous is not None and np.array_equal(window[:-1].view(bits), previous[1:].view(bits)):
-            self._slide(window)
+        slid = previous is not None and np.array_equal(window[:-1].view(bits), previous[1:].view(bits))
+        if slid and state == self._state:
+            self._feed(window, len(window) - 1)
         else:
-            self._rebuild(window)
+            self.rebuilds += 1
+            self._counts = [0] * len(self._rings)
+            for day in range(len(window)):
+                self._feed(window, day)
+            self._state = state
         self._window = window.copy()
         last = self._rings[-1]
-        return last[(self._pushed + self._reads) % len(last)].transpose(1, 0, 2)[None]
+        return last[(self._counts[-1] + self._reads) % len(last)].transpose(1, 0, 2)[None]
 
     def forward(self, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(means, values) of a batch of observations, streamed in order."""

@@ -631,6 +631,17 @@ def assert_streams_like_forward(net, windows, stream=None):
     return stream
 
 
+# The small stream architectures, each with its tickers and window length.
+SMALL_STREAM_ARCHS = [
+    pytest.param(ArchSpec(kind="cnn", conv_channels=(4, 8), conv_kernels=((3, 5), (2, 3)),
+                          conv_strides=((2, 2), (1, 2)), embed_dim=32), 1, 10, id="criterion-9"),
+    pytest.param(ArchSpec(kind="cnn", conv_channels=(3, 2), conv_kernels=((2, 3), (1, 2)),
+                          conv_strides=((3, 1), (2, 2)), embed_dim=5), 2, 12, id="kernel-shorter-than-stride"),
+    pytest.param(ArchSpec(kind="cnn", conv_channels=(2, 3, 2), conv_kernels=((3, 3), (2, 2), (2, 2)),
+                          conv_strides=((1, 2), (2, 1), (1, 1)), embed_dim=6), 2, 14, id="three-stages"),
+]
+
+
 class TestWindowStream:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kind", ["cnn", "cnn-shuffled"])
@@ -641,19 +652,7 @@ class TestWindowStream:
         assert len(windows) == 2 * 26 and stream.rebuilds == 2  # the first window and the reset's
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize(
-        "arch, tickers, window",
-        [
-            # criterion 9's network
-            (ArchSpec(kind="cnn", conv_channels=(4, 8), conv_kernels=((3, 5), (2, 3)),
-                      conv_strides=((2, 2), (1, 2)), embed_dim=32), 1, 10),
-            (ArchSpec(kind="cnn", conv_channels=(3, 2), conv_kernels=((2, 3), (1, 2)),
-                      conv_strides=((3, 1), (2, 2)), embed_dim=5), 2, 12),
-            (ArchSpec(kind="cnn", conv_channels=(2, 3, 2), conv_kernels=((3, 3), (2, 2), (2, 2)),
-                      conv_strides=((1, 2), (2, 1), (1, 1)), embed_dim=6), 2, 14),
-        ],
-        ids=["criterion-9", "kernel-shorter-than-stride", "three-stages"],
-    )
+    @pytest.mark.parametrize("arch, tickers, window", SMALL_STREAM_ARCHS)
     def test_small_architectures(self, arch, tickers, window, dtype):
         windows = episode_windows("cnn", tickers, days=window + 12, window=window, episodes=3)
         net = eval_net(arch, windows[0].shape, tickers, dtype)
@@ -733,6 +732,64 @@ class TestWindowStream:
         net.set_training(True)
         with pytest.raises(ShuffleRlError, match="eval mode"):
             stream.forward(window)
+
+    @pytest.mark.parametrize("arch, tickers, window", SMALL_STREAM_ARCHS)
+    def test_every_stage_layer_call_is_one_row(self, arch, tickers, window, monkeypatch):
+        windows = episode_windows("cnn", tickers, days=window + 3, window=window, episodes=1)
+        net = eval_net(arch, windows[0].shape, tickers, np.float64)
+        batches = []
+        for layer in net.extractor.layers:
+            if isinstance(layer, Flatten):
+                break
+
+            def spy(x, forward=layer.forward):
+                batches.append(len(x))
+                return forward(x)
+            monkeypatch.setattr(layer, "forward", spy)
+        stream = WindowStream(net)
+        calls = []
+        for window in [*windows, windows[0]]:  # the last one does not slide
+            batches.clear()
+            stream.forward(window[None])
+            calls.append(list(batches))
+        assert stream.rebuilds == 2
+        assert {batch for call in calls for batch in call} == {1}
+        # A refill computes each stage's row of every start day once, a
+        # slide one row per stage; each row is three layer calls.
+        start_days, span, step = 0, 1, 1
+        for (kh, _), (sh, _) in zip(arch.conv_kernels, arch.conv_strides):
+            span += (kh - 1) * step
+            step *= sh
+            start_days += len(windows[0]) - span + 1
+        stages = len(arch.conv_kernels)
+        assert [len(call) for call in calls] == [3 * start_days, *[3 * stages] * (len(windows) - 1), 3 * start_days]
+
+    @pytest.mark.parametrize("tensor", ["conv1.weight", "bn2.running_var"])
+    def test_network_changed_in_place_refills(self, tensor):
+        windows = episode_windows("cnn", tickers=2, days=20, window=12, episodes=1)
+        net = eval_net(TOY_ARCH, windows[0].shape, 2, np.float64)
+        stream = assert_streams_like_forward(net, windows[:3])
+        changed = dict([*net.named_parameters(), *net.named_buffers()])[tensor]
+        changed *= 1.5
+        assert_streams_like_forward(net, windows[3:], stream)
+        assert stream.rebuilds == 2
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "arch, tickers, window", [*SMALL_STREAM_ARCHS, pytest.param(ArchSpec(kind="cnn"), 30, 90, id="paper")]
+    )
+    def test_refill_mid_episode_matches_the_sliding_stream_bitwise(self, arch, tickers, window, dtype):
+        windows = episode_windows("cnn", tickers, days=window + 12, window=window, episodes=1)
+        net = eval_net(arch, windows[0].shape, tickers, dtype)
+        sliding, restarted = WindowStream(net), WindowStream(net)
+        middle = len(windows) // 2
+        for window in windows[:middle]:
+            sliding.forward(window[None])
+        for i, window in enumerate(windows[middle:], start=middle):
+            slid = sliding.forward(window[None])
+            refilled = restarted.forward(window[None])
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(slid, refilled)), f"step {i}"
+        assert sliding.rebuilds == restarted.rebuilds == 1
 
 
 class TestInit:
