@@ -8,6 +8,16 @@ the finite-difference gradient checks need, or float32, which training uses.
 A NaN or Inf in a layer's forward output raises at once, naming the layer;
 gradients are checked once per step, by ``ppo.clip_grad_norm``.
 
+``BatchNorm2d`` and ``ReLU`` reuse the arrays they are handed: the forward
+writes its result into its input and the backward into ``dout``. In an
+extractor, which starts with a ``Conv2d`` or a ``Flatten``, each such input
+is the previous layer's fresh output, and each such ``dout`` the next
+layer's fresh input gradient or the ``dout`` handed to
+``Sequential.backward``, which may therefore be overwritten. A direct caller
+that needs its array again passes a copy. No other layer writes into an
+array it is given, and ``ActorCritic`` and ``WindowStream`` leave their
+callers' arrays as they were.
+
 Conventions that silently diverge between implementations, pinned here:
 valid (no-padding) cross-correlation with ``out = floor((in - k)/stride) + 1``;
 batch-norm normalizes with the biased batch variance but feeds the unbiased
@@ -114,24 +124,41 @@ class Conv2d:
         if need_dx:
             # col2im one kernel row at a time, with one GEMM per group of
             # samples, keeps the input-gradient columns at _DX_GROUP/kh of
-            # one sample's im2col size.
+            # one sample's im2col size. Tap (u, v) adds to the input rows
+            # u + sh*i and columns v + sw*j: a contiguous block of the phase
+            # (u % sh, v % sw), the rows a::sh and columns c::sw of dx. Each
+            # phase accumulates in a zeroed, channel-major buffer, in the same
+            # tap order as a direct scatter, and is copied into dx once per group.
             w_rows = [self.weight[:, :, u, :].reshape(out_ch, in_ch * kw).T for u in range(kh)]
-            dx = np.zeros(x.shape, dtype=self.weight.dtype)
+            h, w = x.shape[2:]
+            dx = np.empty(x.shape, dtype=self.weight.dtype)
+            phases = np.empty((in_ch, min(b, _DX_GROUP), sh, sw, -(-h // sh), -(-w // sw)), dtype=dx.dtype)
             for g in range(0, b, _DX_GROUP):
                 group = dout_mat[g : g + _DX_GROUP]
                 n = len(group)
                 group = group.transpose(1, 0, 2).reshape(out_ch, n * oh * ow)
+                acc = phases[:, :n]
+                acc.fill(0)
                 for u in range(kh):
-                    dcols = (w_rows[u] @ group).reshape(in_ch, kw, n, oh, ow).transpose(2, 0, 1, 3, 4)
+                    dcols = (w_rows[u] @ group).reshape(in_ch, kw, n, oh, ow)
                     for v in range(kw):
-                        dx[g : g + n, :, u : u + sh * oh : sh, v : v + sw * ow : sw] += dcols[:, :, v]
+                        acc[:, :, u % sh, v % sw, u // sh : u // sh + oh, v // sw : v // sw + ow] += dcols[:, v]
+                for a in range(sh):
+                    for c in range(sw):
+                        rows, cols = len(range(a, h, sh)), len(range(c, w, sw))
+                        dx[g : g + n, :, a::sh, c::sw] = acc[:, :, a, c, :rows, :cols].transpose(1, 0, 2, 3)
         dweight = dweight.reshape(self.weight.shape)
         dbias = dout_mat.sum(axis=(0, 2))
         return dx, {f"{self.name}.weight": dweight, f"{self.name}.bias": dbias}
 
 
 class BatchNorm2d:
-    """Per-channel normalization over (batch, height, width)."""
+    """Per-channel normalization over (batch, height, width).
+
+    ``forward(x)`` overwrites ``x``: in train mode with the normalized input,
+    which it caches, and in eval mode with the output. ``backward`` returns
+    the input gradient in ``dout``'s memory.
+    """
 
     def __init__(
         self,
@@ -170,7 +197,8 @@ class BatchNorm2d:
             if n < 2:
                 raise ShuffleRlError(f"{self.name}: train mode needs >= 2 elements per channel, got {n}")
             mean = _channel_sum(x) / n
-            xhat = x - mean.reshape(shape)  # centred here, scaled in place below
+            xhat = x
+            xhat -= mean.reshape(shape)  # centred here, scaled in place below
             out = np.square(xhat)  # scratch for the variance; reused for the output
             var = _channel_sum(out) / n  # biased, used for normalization
             inv_std = 1.0 / np.sqrt(var + self.eps)
@@ -184,8 +212,11 @@ class BatchNorm2d:
             cache = (xhat, inv_std, n)
         else:
             inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
-            xhat = (x - self.running_mean.reshape(shape)) * inv_std.reshape(shape)
-            out = self.gamma.reshape(shape) * xhat + self.beta.reshape(shape)
+            out = x
+            out -= self.running_mean.reshape(shape)
+            out *= inv_std.reshape(shape)
+            out *= self.gamma.reshape(shape)
+            out += self.beta.reshape(shape)
             cache = None  # backward is defined for train mode only
         _check_finite(self.name, out)
         return out, cache
@@ -202,7 +233,8 @@ class BatchNorm2d:
         scratch = dout * xhat
         dgamma = _channel_sum(scratch)
         np.multiply(xhat, dgamma.reshape(shape), out=scratch)
-        dx = n * dout
+        dx = dout
+        dx *= n
         dx -= dbeta.reshape(shape)
         dx -= scratch
         dx *= (self.gamma * inv_std / n).reshape(shape)
@@ -210,6 +242,10 @@ class BatchNorm2d:
 
 
 class ReLU:
+    """``max(x, 0)`` as ``x * (x > 0)``, computed in place: ``forward(x)``
+    returns ``x`` overwritten with the output, and ``backward`` returns
+    ``dout`` overwritten with the input gradient."""
+
     def __init__(self, name: str):
         self.name = name
 
@@ -220,14 +256,15 @@ class ReLU:
         return []
 
     def forward(self, x: np.ndarray):
-        out = x * (x > 0)
-        return out, out
+        np.multiply(x, x > 0, out=x)
+        return x, x
 
     def backward(self, cache, dout: np.ndarray):
         # The cache is the output, which the next layer holds anyway. Its
         # mask ``out > 0`` is ``x > 0`` bit for bit: a positive x passes
         # unchanged, and every other x (NaN included) gives +-0 or NaN.
-        return dout * (cache > 0), {}
+        np.multiply(dout, cache > 0, out=dout)
+        return dout, {}
 
 
 class Flatten:
@@ -303,7 +340,7 @@ class Sequential:
         return x, caches
 
     def backward(self, caches, dout: np.ndarray) -> dict[str, np.ndarray]:
-        """Parameter gradients of the chain.
+        """Parameter gradients of the chain, keyed in walk order.
 
         Nothing needs the gradient with respect to the chain's input, so the
         walk stops at the first layer with parameters (a Conv2d or a Linear)
@@ -311,20 +348,30 @@ class Sequential:
 
         Each layer's entry in ``caches`` is dropped as soon as its backward
         has run, so the walk frees the forward's activations as it goes and a
-        forward's caches serve one backward; a second raises.
+        forward's caches serve one backward; a second raises. A Linear that
+        is not the first passes its input gradient on in the walk, and its
+        weight gradient is computed after the walk, once the caches below it
+        are freed. ``dout`` may be overwritten.
         """
         first = next((i for i, layer in enumerate(self.layers) if layer.params()), len(self.layers))
         grads: dict[str, np.ndarray] = {}
+        deferred = []
         for i in range(len(self.layers) - 1, first - 1, -1):
             layer = self.layers[i]
             cache, caches[i] = caches[i], _SPENT
             if cache is _SPENT:
                 raise ShuffleRlError(f"{layer.name}: forward cache already spent by a backward")
-            if i > first:
-                dout, layer_grads = layer.backward(cache, dout)
-            else:
+            if i == first:
                 _, layer_grads = layer.backward(cache, dout, need_dx=False)
+            elif isinstance(layer, Linear):
+                deferred.append((layer, cache, dout))
+                layer_grads = dict.fromkeys(name for name, _ in layer.params())  # keeps the walk order
+                dout = dout @ layer.weight
+            else:
+                dout, layer_grads = layer.backward(cache, dout)
             grads.update(layer_grads)
+        for layer, cache, dout in deferred:
+            grads.update(layer.backward(cache, dout, need_dx=False)[1])
         return grads
 
     def set_training(self, training: bool):

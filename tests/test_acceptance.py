@@ -188,25 +188,27 @@ def test_criterion_5_gradient_checks():
     worst = {}
 
     def fd(layer_or_chain, x, params, seed):
+        # Layers get copies of x and the projection, which a BatchNorm2d or
+        # a ReLU overwrites.
         gen = np.random.default_rng(seed)
         if isinstance(layer_or_chain, Sequential):
-            out, _ = layer_or_chain.forward(x)
+            out, _ = layer_or_chain.forward(x.copy())
             projection = gen.standard_normal(out.shape)
 
             def compute():
-                o, caches = layer_or_chain.forward(x)
+                o, caches = layer_or_chain.forward(x.copy())
                 loss = float((o * projection).sum())
-                grads = layer_or_chain.backward(caches, projection)
+                grads = layer_or_chain.backward(caches, projection.copy())
                 return loss, grads
 
         else:
-            out, _ = layer_or_chain.forward(x)
+            out, _ = layer_or_chain.forward(x.copy())
             projection = gen.standard_normal(out.shape)
 
             def compute():
-                o, cache = layer_or_chain.forward(x)
+                o, cache = layer_or_chain.forward(x.copy())
                 loss = float((o * projection).sum())
-                dx, grads = layer_or_chain.backward(cache, projection)
+                dx, grads = layer_or_chain.backward(cache, projection.copy())
                 grads = dict(grads)
                 grads["__input__"] = dx
                 return loss, grads

@@ -39,15 +39,18 @@ def relu_kink_margin(extractor, x):
 
 
 def fd_check_layer(layer, x, seed=0, h=1e-4, max_entries=None):
-    """Finite-difference audit of one layer: loss = sum(output * R)."""
+    """Finite-difference audit of one layer: loss = sum(output * R).
+
+    The layer gets copies of ``x`` and ``R``, which a BatchNorm2d or a ReLU
+    overwrites."""
     rng = np.random.default_rng(seed)
-    out, _ = layer.forward(x)
+    out, _ = layer.forward(x.copy())
     projection = rng.standard_normal(out.shape)
 
     def compute_loss():
-        o, cache = layer.forward(x)
+        o, cache = layer.forward(x.copy())
         loss = float((o * projection).sum())
-        dx, grads = layer.backward(cache, projection)
+        dx, grads = layer.backward(cache, projection.copy())
         grads = dict(grads)
         grads["__input__"] = dx
         return loss, grads
@@ -204,8 +207,11 @@ def reference_conv(layer, x, dout):
         ((3, 2, 3, 2), (2, 3), (3, 2, 8, 10)),
         ((32, 16, 4, 4), (2, 2), (1, 16, 21, 126)),
         ((32, 16, 4, 4), (2, 2), (10, 16, 21, 126)),
+        ((3, 2, 2, 1), (3, 2), (3, 2, 11, 9)),
+        ((2, 3, 3, 2), (1, 1), (9, 3, 6, 7)),
     ],
-    ids=["paper-conv1", "paper-conv2", "stride-remainders", "batch1", "two-groups"],
+    ids=["paper-conv1", "paper-conv2", "stride-remainders", "batch1", "two-groups",
+         "kernel-shorter-than-stride", "stride-1"],
 )
 def test_conv_matches_whole_batch_reference_bitwise(w_shape, stride, x_shape):
     rng = np.random.default_rng(25)
@@ -340,8 +346,8 @@ def test_batchnorm_train_mode_matches_reference_formulas(x_shape):
     x = rng.standard_normal(x_shape) * 3.0 + 2.0
     dout = rng.standard_normal(x_shape)
     out_ref, running_mean_ref, running_var_ref, backward_ref = reference_batchnorm_train(layer, x)
-    out, cache = layer.forward(x)
-    dx, grads = layer.backward(cache, dout)
+    out, cache = layer.forward(x.copy())
+    dx, grads = layer.backward(cache, dout.copy())
     dx_ref, dgamma_ref, dbeta_ref = backward_ref(dout)
 
     def assert_close(actual, expected):
@@ -372,9 +378,9 @@ class TestReluAndLinear:
         layer = ReLU("r")
         x = np.array([[np.nan, np.inf, -np.inf, 0.0, -0.0, 2.0, -3.0, 5e-324, -5e-324]])
         with np.errstate(invalid="ignore"):  # -inf * 0
-            _, cache = layer.forward(x)
+            _, cache = layer.forward(x.copy())
         dout = np.arange(1.0, 10.0)[None, :]
-        dx, _ = layer.backward(cache, dout)
+        dx, _ = layer.backward(cache, dout.copy())
         assert dx.tobytes() == (dout * (x > 0)).tobytes()
 
     def test_linear_identity_passthrough(self):
@@ -504,7 +510,7 @@ class TestExtractors:
         def compute_loss():
             out, caches = extractor.forward(x)
             loss = float((out * projection).sum())
-            grads = extractor.backward(caches, projection)
+            grads = extractor.backward(caches, projection.copy())
             return loss, grads
 
         result = grad_check(compute_loss, extractor.params())
@@ -522,7 +528,7 @@ class TestExtractors:
         def compute_loss():
             out, caches = extractor.forward(x)
             loss = float((out * projection).sum())
-            grads = extractor.backward(caches, projection)
+            grads = extractor.backward(caches, projection.copy())
             return loss, grads
 
         result = grad_check(compute_loss, extractor.params(), max_entries_per_param=25)
@@ -574,6 +580,10 @@ def test_actor_critic_grads_match_full_chain_walk(arch, obs_shape):
     dmu = rng.standard_normal(mu.shape)
     dvalue = rng.standard_normal(value.shape)
     grads = net.backward(cache, dmu, dvalue)
+    # ppo.clip_grad_norm sums the squared norms in this order: the walk's,
+    # deferred weight gradients included, then the heads'.
+    walk = [name for layer in reversed(net.extractor.layers) for name, _ in layer.params()]
+    assert list(grads) == [*walk, "policy.weight", "policy.bias", "value.weight", "value.bias"]
     # The backward spent its caches, so the reference walks a forward of its own.
     reference = full_chain_grads(net, net.forward(obs)[2], dmu, dvalue)
     assert grads.keys() == reference.keys()

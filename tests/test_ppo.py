@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from shufflerl import ppo
 from shufflerl.data import generate_synthetic_market
 from shufflerl.env import EnvConfig, TradingEnv
 from shufflerl.errors import ConfigError, NonFiniteError, ShuffleRlError
-from shufflerl.nn import ActorCritic, ArchSpec, grad_check
+from shufflerl.nn import ActorCritic, ArchSpec, WindowStream, grad_check
 from shufflerl.ppo import (
     _ADAM_CHUNK,
     Adam,
@@ -334,6 +335,34 @@ class TestPpoLoss:
         assert result.max_rel_error < 1e-4, str(result)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("arch", [MLP_ARCH, TOY_CNN_ARCH], ids=["mlp", "cnn"])
+def test_every_array_the_caller_passes_is_left_bit_identical(arch, dtype):
+    # Batch norm and ReLU overwrite the arrays they are handed; every array
+    # they get from these calls must be the network's own.
+    net = ActorCritic(arch, (5, 12), 3, seed=40, dtype=dtype)
+    rng = np.random.default_rng(41)
+    obs = rng.standard_normal((4, 5, 12)).astype(dtype)
+    actions = rng.standard_normal((4, 3))
+    old_log_probs = rng.standard_normal(4) - 3.0
+    advantages = rng.standard_normal(4)
+    returns = rng.standard_normal(4)
+    dmu = rng.standard_normal((4, 3)).astype(dtype)
+    dvalue = rng.standard_normal(4).astype(dtype)
+    passed = {"obs": obs, "actions": actions, "old_log_probs": old_log_probs, "advantages": advantages,
+              "returns": returns, "dmu": dmu, "dvalue": dvalue}
+    before = {name: array.tobytes() for name, array in passed.items()}
+
+    _, _, cache = net.forward(obs)
+    net.backward(cache, dmu, dvalue)
+    ppo_loss_and_grads(net, obs, actions, old_log_probs, advantages, returns, PpoConfig())
+    sample_action(net, obs[0], rng)
+    net.set_training(False)
+    sample_action(net, obs[0], rng)
+    WindowStream(net).forward(obs)
+    assert {name: array.tobytes() for name, array in passed.items()} == before
+
+
 class TestOptimizer:
     def test_zero_learning_rate_keeps_params(self):
         net = ActorCritic(MLP_ARCH, (3,), 1, seed=0)
@@ -573,6 +602,25 @@ class TestFloat32Training:
         assert len(net.named_buffers()) == (4 if spec.kind == "cnn-shuffled" else 0)
         assert {name: arr.dtype for name, arr in tensors if arr.dtype != np.float32} == {}
         assert buffer.rewards.dtype == np.float64
+
+    def test_paper_shape_cnn_minibatch_peak_memory(self):
+        # One batch-64 minibatch of the shuffled CNN at the paper shape
+        # (90x511, 16/32 channels). Batch norm and ReLU work in place and the
+        # 18.3 MB embed weight gradient is allocated after the conv caches
+        # are freed, so the traced peak stays under 50 MB.
+        net = ActorCritic(AgentSpec(kind="cnn-shuffled").resolve_arch(), (90, 511), 30, seed=3, dtype=np.float32)
+        rng = np.random.default_rng(3)
+        obs = rng.standard_normal((64, 90, 511)).astype(np.float32)
+        batch = (rng.standard_normal((64, 30)), rng.standard_normal(64) - 30.0, rng.standard_normal(64),
+                 rng.standard_normal(64), PpoConfig())
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            ppo_loss_and_grads(net, obs, *batch)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 50e6, f"{peak / 1e6:.1f} MB"
 
     @pytest.mark.parametrize("kind", ["mlp", "cnn-shuffled"])
     def test_gradients_agree_with_float64_at_paper_shape(self, kind):
