@@ -20,8 +20,9 @@ callers' arrays as they were.
 
 Conventions that silently diverge between implementations, pinned here:
 valid (no-padding) cross-correlation with ``out = floor((in - k)/stride) + 1``;
-batch-norm normalizes with the biased batch variance but feeds the unbiased
-variance into the running estimate ``running = (1 - m)*running + m*batch``.
+batch norm has one mode, which normalizes with fixed statistics, and
+``refresh_batch_norm`` sets those to the biased (divide by n) mean and
+variance of each batch-norm layer's input over a set of windows.
 """
 
 from __future__ import annotations
@@ -153,30 +154,24 @@ class Conv2d:
 
 
 class BatchNorm2d:
-    """Per-channel normalization over (batch, height, width).
+    """Per-channel ``gamma * (x - running_mean) * inv_std + beta``, with
+    ``inv_std = 1 / sqrt(running_var + eps)``: fixed statistics, which only
+    ``refresh_batch_norm`` sets, so one function serves rollout, update and
+    evaluation.
 
-    ``forward(x)`` overwrites ``x``: in train mode with the normalized input,
-    which it caches, and in eval mode with the output. ``backward`` returns
-    the input gradient in ``dout``'s memory.
+    ``forward(x)`` overwrites ``x`` with the normalized input, which it
+    caches. ``backward`` returns the input gradient in ``dout``'s memory and
+    spends the cache.
     """
 
-    def __init__(
-        self,
-        name: str,
-        gamma: np.ndarray,
-        beta: np.ndarray,
-        momentum: float = 0.1,
-        eps: float = 1e-5,
-    ):
+    def __init__(self, name: str, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5):
         self.name = name
         self.gamma = gamma
         self.beta = beta
-        self.momentum = momentum
         self.eps = eps
         channels = gamma.shape[0]
         self.running_mean = np.zeros(channels, dtype=gamma.dtype)
         self.running_var = np.ones(channels, dtype=gamma.dtype)
-        self.training = True
 
     def params(self):
         return [(f"{self.name}.gamma", self.gamma), (f"{self.name}.beta", self.beta)]
@@ -191,53 +186,21 @@ class BatchNorm2d:
         if x.ndim != 4 or x.shape[1] != self.gamma.shape[0]:
             raise ShuffleRlError(f"{self.name}: expected (B, {self.gamma.shape[0]}, H, W), got {x.shape}")
         shape = (1, -1, 1, 1)
-        if self.training:
-            b, _, h, w = x.shape
-            n = b * h * w
-            if n < 2:
-                raise ShuffleRlError(f"{self.name}: train mode needs >= 2 elements per channel, got {n}")
-            mean = _channel_sum(x) / n
-            xhat = x
-            xhat -= mean.reshape(shape)  # centred here, scaled in place below
-            out = np.square(xhat)  # scratch for the variance; reused for the output
-            var = _channel_sum(out) / n  # biased, used for normalization
-            inv_std = 1.0 / np.sqrt(var + self.eps)
-            xhat *= inv_std.reshape(shape)
-            self.running_mean[:] = (1 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var[:] = (
-                (1 - self.momentum) * self.running_var + self.momentum * var * n / (n - 1)
-            )
-            np.multiply(self.gamma.reshape(shape), xhat, out=out)
-            out += self.beta.reshape(shape)
-            cache = (xhat, inv_std, n)
-        else:
-            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
-            out = x
-            out -= self.running_mean.reshape(shape)
-            out *= inv_std.reshape(shape)
-            out *= self.gamma.reshape(shape)
-            out += self.beta.reshape(shape)
-            cache = None  # backward is defined for train mode only
+        inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
+        xhat = x
+        xhat -= self.running_mean.reshape(shape)
+        xhat *= inv_std.reshape(shape)
+        out = xhat * self.gamma.reshape(shape)
+        out += self.beta.reshape(shape)
         _check_finite(self.name, out)
-        return out, cache
+        return out, (xhat, inv_std)
 
     def backward(self, cache, dout: np.ndarray):
-        if cache is None:
-            raise ShuffleRlError(f"{self.name}: backward requires a train-mode forward cache")
-        xhat, inv_std, n = cache
-        shape = (1, -1, 1, 1)
-        # With dxhat = gamma * dout, sum(dxhat) = gamma * dbeta and
-        # sum(dxhat * xhat) = gamma * dgamma, so
-        # dx = (gamma * inv_std / n) * (n * dout - dbeta - xhat * dgamma).
+        xhat, inv_std = cache
         dbeta = _channel_sum(dout)
-        scratch = dout * xhat
-        dgamma = _channel_sum(scratch)
-        np.multiply(xhat, dgamma.reshape(shape), out=scratch)
+        dgamma = _channel_sum(np.multiply(xhat, dout, out=xhat))
         dx = dout
-        dx *= n
-        dx -= dbeta.reshape(shape)
-        dx -= scratch
-        dx *= (self.gamma * inv_std / n).reshape(shape)
+        dx *= (self.gamma * inv_std).reshape(1, -1, 1, 1)
         return dx, {f"{self.name}.gamma": dgamma, f"{self.name}.beta": dbeta}
 
 
@@ -374,10 +337,42 @@ class Sequential:
             grads.update(layer.backward(cache, dout, need_dx=False)[1])
         return grads
 
-    def set_training(self, training: bool):
-        for layer in self.layers:
-            if isinstance(layer, BatchNorm2d):
-                layer.training = training
+
+# refresh_batch_norm pushes at most this many windows through the chain at a time.
+_REFRESH_CHUNK = 16
+
+
+def refresh_batch_norm(chain: Sequential, inputs, count: int) -> None:
+    """Set each ``BatchNorm2d`` of ``chain`` to the biased mean and variance
+    of its input over ``inputs(slice(0, count))``, the batch of chain inputs.
+
+    Stage by stage: a layer's input is computed with the statistics just
+    set for the layers before it. Each pass feeds ``inputs`` ``_REFRESH_CHUNK``
+    items at a time, and the per-channel moments of each chunk are
+    accumulated in float64 and combined as Chan, Golub and LeVeque
+    ("Updating Formulae and a Pairwise Algorithm for Computing Sample
+    Variances", 1979) do, which stays accurate when the mean is far larger
+    than the spread. No array of every item's activations is made.
+    """
+    for i, norm in enumerate(chain.layers):
+        if not isinstance(norm, BatchNorm2d):
+            continue
+        n, mean, m2 = 0, 0.0, 0.0
+        for start in range(0, count, _REFRESH_CHUNK):
+            x = inputs(slice(start, min(start + _REFRESH_CHUNK, count)))
+            for layer in chain.layers[:i]:
+                x, _ = layer.forward(x)
+            x = x.astype(np.float64)
+            k = x.size // x.shape[1]
+            chunk_mean = _channel_sum(x) / k
+            x -= chunk_mean.reshape(1, -1, 1, 1)
+            chunk_m2 = _channel_sum(np.square(x, out=x))
+            delta = chunk_mean - mean
+            n += k
+            mean = mean + delta * (k / n)
+            m2 = m2 + chunk_m2 + delta**2 * (k * (n - k) / n)
+        norm.running_mean[...] = mean
+        norm.running_var[...] = m2 / n
 
 
 @dataclass(frozen=True)
@@ -550,11 +545,6 @@ class ActorCritic:
         self.policy_head = Linear("policy", policy_w, np.zeros(action_dim, self.dtype))
         self.value_head = Linear("value", value_w, np.zeros(1, self.dtype))
         self.log_std = np.full(action_dim, arch.log_std_init, dtype=self.dtype)
-        self.training = True
-
-    def set_training(self, training: bool):
-        self.training = training
-        self.extractor.set_training(training)
 
     def named_parameters(self) -> list[tuple[str, np.ndarray]]:
         return [
@@ -578,6 +568,11 @@ class ActorCritic:
         if self.arch.kind == "cnn":
             return obs[:, None, :, :]  # add the single input channel
         return obs
+
+    def refresh_batch_norm(self, observations, count: int) -> None:
+        """``refresh_batch_norm`` of the extractor over the observations
+        ``observations(slice(0, count))``; an MLP has nothing to refresh."""
+        refresh_batch_norm(self.extractor, lambda s: self._as_batch(observations(s)), count)
 
     def forward(self, obs: np.ndarray):
         """Batched forward; returns (means, values, cache)."""
@@ -608,36 +603,34 @@ class ActorCritic:
 
 
 class WindowStream:
-    """Eval-mode forward of an ``ActorCritic`` over a sequence of windows,
-    one observation at a time, reusing the convolution rows of the window
-    before (the cached generation of Paine et al., "Fast Wavenet Generation
+    """Forward of an ``ActorCritic`` over a sequence of windows, one
+    observation at a time, reusing the convolution rows of the window before
+    (the cached generation of Paine et al., "Fast Wavenet Generation
     Algorithm", 2016).
 
-    In eval mode each (Conv2d, BatchNorm2d, ReLU) stage maps a few nearby
-    rows to one output row: the stage's row of day d reads its input rows of
-    days d, d + s, ..., d + (kh - 1) * s, where s is the product of the
-    earlier stages' row strides. Each stage keeps a ring of the rows still
-    needed (the last stage its rows of every start day in the window, every
-    other stage the rows that the next stage's newest row reads), and a
-    window row is pushed through each stage whose input then holds the rows
-    of its next row, by the stage's own layers on a (1, C, kh, W) slice:
-    every layer call is one row. An observation that equals the one before
-    it slid up by one row, bit for bit, feeds only its newest row, unless
-    the stages' parameters or batch-norm statistics changed since the rings
-    were filled. Any other observation (the first, the one after an env
-    reset) refills the rings with its rows, one at a time.
+    Batch norm runs on fixed statistics, so each (Conv2d, BatchNorm2d, ReLU)
+    stage maps a few nearby rows to one output row: the stage's row of day d
+    reads its input rows of days d, d + s, ..., d + (kh - 1) * s, where s is
+    the product of the earlier stages' row strides. Each stage keeps a ring
+    of the rows still needed (the last stage its rows of every start day in
+    the window, every other stage the rows that the next stage's newest row
+    reads), and a window row is pushed through each stage whose input then
+    holds the rows of its next row, by the stage's own layers on a
+    (1, C, kh, W) slice: every layer call is one row. An observation that equals
+    the one before it slid up by one row, bit for bit, feeds only its newest
+    row, unless the stages' parameters or batch-norm statistics changed
+    since the rings were filled. Any other observation (the first, the one
+    after an env reset) refills the rings with its rows, one at a time.
 
     Every row is the function of its inputs that ``net.forward`` computes;
     only the width of its GEMM differs (one row instead of the window's), so
     the results equal ``net.forward``'s bit for bit where the BLAS rounds
-    both alike. An MLP has no conv stage and runs ``net.forward``. The
-    network must stay in eval mode while it is streamed.
+    both alike. An MLP has no conv stage and runs ``net.forward``.
     ``rebuilds`` counts the observations that refilled the rings.
     """
 
     def __init__(self, net: ActorCritic):
         self.net = net
-        self._check_eval()
         layers = net.extractor.layers
         flat = next(i for i, layer in enumerate(layers) if isinstance(layer, Flatten))
         self._tail = layers[flat:]
@@ -662,10 +655,6 @@ class WindowStream:
         self._window: np.ndarray | None = None
         self._state = b""
         self.rebuilds = 0
-
-    def _check_eval(self):
-        if self.net.training:
-            raise ShuffleRlError("WindowStream needs a network in eval mode")
 
     def _stage_state(self) -> bytes:
         """The bits of the conv stages' parameters and batch-norm statistics."""
@@ -708,7 +697,6 @@ class WindowStream:
 
     def forward(self, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(means, values) of a batch of observations, streamed in order."""
-        self._check_eval()
         net = self.net
         if not self._stages:
             mu, value, _ = net.forward(obs)

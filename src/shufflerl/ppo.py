@@ -189,13 +189,14 @@ def gaussian_log_prob(actions: np.ndarray, mean: np.ndarray, log_std: np.ndarray
     return (-0.5 * z**2 - log_std - 0.5 * _LOG_2PI).sum(axis=-1)
 
 
-def sample_action(net: ActorCritic, obs, rng: np.random.Generator):
-    """Draw a raw (unclipped) action; env-side decoding clips it.
+def sample_action(stream: WindowStream, obs, rng: np.random.Generator):
+    """Draw a raw (unclipped) action from the streamed network; env-side
+    decoding clips it.
 
     Returns (action, log_prob of the raw sample, value estimate).
     """
-    batch = _obs_array(obs)[None, ...]
-    mu, value, _ = net.forward(batch)
+    net = stream.net
+    mu, value = stream.forward(_obs_array(obs)[None, ...])
     log_std = net.effective_log_std()
     action = mu[0] + np.exp(log_std) * rng.standard_normal(net.action_dim)
     log_prob = float(gaussian_log_prob(action[None, :], mu, log_std)[0])
@@ -462,9 +463,16 @@ def train_on_env(
 
     The network, its optimizer state and the stored observations are
     float32; the env, GAE and the loss's scalar statistics stay float64.
+
+    Batch norm runs on fixed statistics, so the rollout that collects an
+    iteration's log-probabilities and the update that clips their ratio
+    compute one function. The statistics are set from the reset window
+    before the first rollout and from each update's buffer after that
+    update, so the returned network's match its final weights. Actions and
+    the bootstrap value come from one ``WindowStream``, which refills when
+    the update or the refresh changed the network.
     """
     net = ActorCritic(arch, obs_shape, action_dim, seed=config.seed, dtype=np.float32)
-    net.set_training(True)
     optimizer = Adam(net.named_parameters(), config.learning_rate)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
     result = TrainResult(net)
@@ -473,14 +481,16 @@ def train_on_env(
     if n_updates == 0:
         return result
 
+    stream = WindowStream(net)
     obs = _obs_array(env.reset())
+    net.refresh_batch_norm(lambda _: obs[None], 1)
     episode_reward = 0.0
     episode_index = 0
     for _ in range(n_updates):
         buffer = RolloutBuffer(config.rollout_length, obs_shape, action_dim)
         last_done = False
         while not buffer.full:
-            action, log_prob, value = sample_action(net, obs, rng)
+            action, log_prob, value = sample_action(stream, obs, rng)
             step = env.step(action)
             buffer.add(obs, action, log_prob, step.reward, value, step.done)
             episode_reward += step.reward
@@ -496,10 +506,10 @@ def train_on_env(
         if last_done:
             bootstrap = 0.0
         else:
-            _, value_now, _ = net.forward(obs[None, ...])
-            bootstrap = float(value_now[0])
+            bootstrap = float(stream.forward(obs[None, ...])[1][0])
         buffer.finalize(bootstrap, config.gamma, config.gae_lambda)
         result.update_stats.append(update(net, optimizer, buffer, config, rng))
+        net.refresh_batch_norm(buffer.observations, buffer.length)
     return result
 
 
@@ -547,23 +557,18 @@ def evaluate(
     env_config: EnvConfig,
     gamma: float = 0.99,
 ) -> tuple[EvalReport, TradingEnv]:
-    """Deterministic evaluation: the action is the policy mean, batch-norm
-    uses its running statistics, and one ``WindowStream`` computes the
-    network's forward day by day. Returns the report, read off the env's
-    ledger (``env.trace``), and the env, for CSV export of that ledger."""
+    """Deterministic evaluation: the action is the policy mean, and one
+    ``WindowStream`` computes the network's forward day by day. Returns the
+    report, read off the env's ledger (``env.trace``), and the env, for CSV
+    export of that ledger."""
     env = TradingEnv(dataset, env_config)
     expected = env.observation.rows.shape
     if tuple(net.obs_shape) != expected:
         raise ShuffleRlError(
             f"checkpoint expects observations {net.obs_shape}, environment emits {expected}"
         )
-    was_training = net.training
-    net.set_training(False)
-    try:
-        stream = WindowStream(net)
-        discounted = run_episode(env, lambda obs: policy_mean(stream, obs), gamma)
-    finally:
-        net.set_training(was_training)
+    stream = WindowStream(net)
+    discounted = run_episode(env, lambda obs: policy_mean(stream, obs), gamma)
     values = [row["portfolio_value"] for row in env.trace]
     metrics = metrics_report(values)
     return (

@@ -37,6 +37,7 @@ from shufflerl.nn import (
     build_extractor,
     cnn_feature_shapes,
     grad_check,
+    refresh_batch_norm,
 )
 from shufflerl.ppo import AgentSpec, PpoConfig, evaluate, train, train_on_env
 
@@ -250,6 +251,7 @@ def test_criterion_5_gradient_checks():
 def test_criterion_6_batchnorm_statistics():
     layer = BatchNorm2d("bn", np.ones(4), np.zeros(4))
     x = np.random.default_rng(6).standard_normal((8, 4, 6, 6)) * 2.5 + 1.7
+    refresh_batch_norm(Sequential([layer]), x.__getitem__, len(x))
     out, _ = layer.forward(x)
     mean = out.mean(axis=(0, 2, 3))
     var = out.var(axis=(0, 2, 3))

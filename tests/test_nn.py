@@ -235,44 +235,28 @@ def test_conv_forward_caches_only_its_input():
     assert cache is x
 
 
+def set_statistics(layer, rng):
+    """Non-default batch-norm statistics, as a refresh leaves them."""
+    layer.running_mean[:] = rng.standard_normal(layer.running_mean.shape)
+    layer.running_var[:] = rng.uniform(0.5, 2.0, layer.running_var.shape)
+
+
 class TestBatchNorm:
     def test_constant_input_maps_to_shift(self):
-        layer = BatchNorm2d("bn", np.ones(2), np.zeros(2))
-        out, _ = layer.forward(np.full((3, 2, 4, 4), 7.0))
-        assert np.all(np.abs(out) < 1e-3)  # zero up to eps-induced wobble
-
-    def test_train_mode_moments(self):
-        rng = np.random.default_rng(9)
-        layer = BatchNorm2d("bn", np.ones(4), np.zeros(4))
-        x = rng.standard_normal((8, 4, 6, 6)) * 3.0 + 5.0
+        layer = BatchNorm2d("bn", np.ones(2), np.array([0.0, 1.5]))
+        x = np.full((3, 2, 4, 4), 7.0)
+        nn.refresh_batch_norm(nn.Sequential([layer]), x.__getitem__, len(x))
         out, _ = layer.forward(x)
-        mean = out.mean(axis=(0, 2, 3))
-        var = out.var(axis=(0, 2, 3))
-        assert np.all(np.abs(mean) < 1e-5)
-        assert np.all(np.abs(var - 1.0) < 1e-5)
+        np.testing.assert_array_equal(out, np.broadcast_to(np.array([0.0, 1.5])[:, None, None], out.shape))
 
     def test_inference_hand_example(self):
         layer = BatchNorm2d("bn", gamma=np.array([2.0]), beta=np.array([0.5]), eps=1e-5)
         layer.running_mean[:] = 1.0
         layer.running_var[:] = 4.0
-        layer.training = False
         x = np.full((1, 1, 1, 2), 3.0)
         out, _ = layer.forward(x)
         expected = (3.0 - 1.0) / np.sqrt(4.0 + 1e-5) * 2.0 + 0.5
         np.testing.assert_allclose(out, expected, rtol=1e-12)
-
-    def test_running_stats_update(self):
-        layer = BatchNorm2d("bn", np.ones(1), np.zeros(1), momentum=0.1)
-        x = np.full((2, 1, 1, 2), 10.0)
-        x[0, 0, 0, 0] = 14.0  # batch mean 11, biased var 3, unbiased 4
-        layer.forward(x)
-        np.testing.assert_allclose(layer.running_mean, [0.9 * 0.0 + 0.1 * 11.0])
-        np.testing.assert_allclose(layer.running_var, [0.9 * 1.0 + 0.1 * 4.0])
-
-    def test_single_element_train_mode_rejected(self):
-        layer = BatchNorm2d("bn", np.ones(1), np.zeros(1))
-        with pytest.raises(ShuffleRlError):
-            layer.forward(np.zeros((1, 1, 1, 1)))
 
     def test_backward_zero_upstream(self):
         rng = np.random.default_rng(10)
@@ -285,80 +269,79 @@ class TestBatchNorm:
     def test_backward_finite_differences(self):
         rng = np.random.default_rng(11)
         layer = BatchNorm2d("bn", rng.uniform(0.5, 1.5, 3), rng.standard_normal(3))
+        set_statistics(layer, rng)
         x = rng.standard_normal((2, 3, 2, 2)) * 2.0
         result = fd_check_layer(layer, x, seed=12)
         assert result.max_rel_error < 1e-5, str(result)
 
-    def test_input_gradient_sums_to_zero_per_channel(self):
-        rng = np.random.default_rng(13)
-        layer = BatchNorm2d("bn", np.ones(3), np.zeros(3))
-        x = rng.standard_normal((4, 3, 5, 5))
-        _, cache = layer.forward(x)
-        dx, _ = layer.backward(cache, rng.standard_normal(x.shape))
-        sums = dx.sum(axis=(0, 2, 3))
-        assert np.all(np.abs(sums) < 1e-10)
-
-    def test_inference_cache_has_no_backward(self):
-        layer = BatchNorm2d("bn", np.ones(1), np.zeros(1))
-        layer.training = False
-        _, cache = layer.forward(np.zeros((1, 1, 2, 2)))
-        with pytest.raises(ShuffleRlError):
-            layer.backward(cache, np.zeros((1, 1, 2, 2)))
-
-
-def reference_batchnorm_train(layer, x):
-    """Reference: the direct train-mode formulas, as (out, running_mean,
-    running_var, backward) with ``backward(dout) -> (dx, dgamma, dbeta)``."""
-    shape = (1, -1, 1, 1)
-    n = x.shape[0] * x.shape[2] * x.shape[3]
-    mean = x.mean(axis=(0, 2, 3))
-    var = x.var(axis=(0, 2, 3))
-    inv_std = 1.0 / np.sqrt(var + layer.eps)
-    xhat = (x - mean.reshape(shape)) * inv_std.reshape(shape)
-    out = layer.gamma.reshape(shape) * xhat + layer.beta.reshape(shape)
-    m = layer.momentum
-    running_mean = (1 - m) * layer.running_mean + m * mean
-    running_var = (1 - m) * layer.running_var + m * var * n / (n - 1)
-
-    def backward(dout):
-        dgamma = (dout * xhat).sum(axis=(0, 2, 3))
-        dbeta = dout.sum(axis=(0, 2, 3))
-        dxhat = dout * layer.gamma.reshape(shape)
-        sum_dxhat = dxhat.sum(axis=(0, 2, 3))
-        sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2, 3))
-        dx = (inv_std.reshape(shape) / n) * (
-            n * dxhat - sum_dxhat.reshape(shape) - xhat * sum_dxhat_xhat.reshape(shape)
-        )
-        return dx, dgamma, dbeta
-
-    return out, running_mean, running_var, backward
-
 
 @pytest.mark.parametrize(
-    "x_shape", [(3, 4, 5, 7), (1, 3, 2, 3), (16, 8, 9, 31)], ids=["odd-hw", "batch1", "wide"]
+    "x_shape", [(3, 4, 5, 7), (1, 3, 2, 3), (1, 3, 1, 1), (16, 8, 9, 31)],
+    ids=["odd-hw", "batch1", "one-element", "wide"],
 )
-def test_batchnorm_train_mode_matches_reference_formulas(x_shape):
+def test_batchnorm_matches_reference_formulas(x_shape):
     rng = np.random.default_rng(24)
     channels = x_shape[1]
     layer = BatchNorm2d("bn", rng.uniform(0.5, 1.5, channels), rng.standard_normal(channels))
-    layer.running_mean[:] = rng.standard_normal(channels)
-    layer.running_var[:] = rng.uniform(0.5, 2.0, channels)
+    set_statistics(layer, rng)
     x = rng.standard_normal(x_shape) * 3.0 + 2.0
     dout = rng.standard_normal(x_shape)
-    out_ref, running_mean_ref, running_var_ref, backward_ref = reference_batchnorm_train(layer, x)
+    shape = (1, -1, 1, 1)
+    inv_std = (1.0 / np.sqrt(layer.running_var + layer.eps)).reshape(shape)
+    xhat = (x - layer.running_mean.reshape(shape)) * inv_std
     out, cache = layer.forward(x.copy())
     dx, grads = layer.backward(cache, dout.copy())
-    dx_ref, dgamma_ref, dbeta_ref = backward_ref(dout)
 
     def assert_close(actual, expected):
         assert np.abs(actual - expected).max() <= 1e-12 * np.abs(expected).max()
 
-    assert_close(out, out_ref)
-    assert_close(layer.running_mean, running_mean_ref)
-    assert_close(layer.running_var, running_var_ref)
-    assert_close(dx, dx_ref)
-    assert_close(grads["bn.gamma"], dgamma_ref)
-    assert_close(grads["bn.beta"], dbeta_ref)
+    assert_close(out, layer.gamma.reshape(shape) * xhat + layer.beta.reshape(shape))
+    assert_close(dx, dout * layer.gamma.reshape(shape) * inv_std)
+    assert_close(grads["bn.gamma"], (dout * xhat).sum(axis=(0, 2, 3)))
+    assert_close(grads["bn.beta"], dout.sum(axis=(0, 2, 3)))
+
+
+# A float64 network of three conv stages for the refresh tests.
+REFRESH_ARCH = ArchSpec(kind="cnn", conv_channels=(2, 3, 2), conv_kernels=((3, 3), (2, 2), (2, 2)),
+                        conv_strides=((1, 2), (2, 1), (1, 1)), embed_dim=6)
+
+
+class TestRefreshBatchNorm:
+    @pytest.mark.parametrize("count", [1, 16, 17, 40])
+    @pytest.mark.parametrize("chunk", [1, 3, 16, 40])
+    def test_statistics_are_the_moments_of_each_input_over_all_windows(self, count, chunk, monkeypatch):
+        monkeypatch.setattr(nn, "_REFRESH_CHUNK", chunk)
+        rng = np.random.default_rng(33)
+        net = ActorCritic(REFRESH_ARCH, (14, 9), 2, seed=34)
+        windows = rng.standard_normal((count, 14, 9)) * 3.0 + 1.0
+        net.refresh_batch_norm(windows.__getitem__, count)
+        # Stage by stage: each batch-norm input follows the statistics just
+        # set for the layers before it.
+        x, checked = windows[:, None].copy(), 0
+        for layer in net.extractor.layers:
+            if isinstance(layer, BatchNorm2d):
+                np.testing.assert_allclose(layer.running_mean, x.mean(axis=(0, 2, 3)), rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(layer.running_var, x.var(axis=(0, 2, 3)), rtol=1e-12)
+                checked += 1
+            x, _ = layer.forward(x)
+        assert checked == 3
+
+    def test_accurate_when_the_mean_is_a_thousand_times_the_spread(self):
+        rng = np.random.default_rng(35)
+        layer = BatchNorm2d("bn", np.ones(2, np.float32), np.zeros(2, np.float32))
+        x = (rng.standard_normal((40, 2, 5, 7)) + np.array([1e3, -1e3])[:, None, None]).astype(np.float32)
+        nn.refresh_batch_norm(nn.Sequential([layer]), x.__getitem__, len(x))
+        exact = x.astype(np.float64)
+        np.testing.assert_allclose(layer.running_mean, exact.mean(axis=(0, 2, 3)), rtol=1e-7)
+        np.testing.assert_allclose(layer.running_var, exact.var(axis=(0, 2, 3)), rtol=1e-6)
+
+    def test_leaves_the_windows_and_an_mlp_as_they_were(self):
+        windows = np.random.default_rng(36).standard_normal((5, 14, 9))
+        before = windows.tobytes()
+        ActorCritic(REFRESH_ARCH, (14, 9), 2, seed=34).refresh_batch_norm(windows.__getitem__, len(windows))
+        assert windows.tobytes() == before
+        mlp = ActorCritic(ArchSpec(kind="mlp", mlp_hidden=(3,)), (14, 9), 2, seed=34)
+        mlp.refresh_batch_norm(lambda s: pytest.fail("an MLP reads no window"), len(windows))
 
 
 class TestReluAndLinear:
@@ -486,7 +469,6 @@ class TestExtractors:
 
     def test_inference_determinism_on_identical_inputs(self):
         extractor = build_extractor(TOY_ARCH, (6, 8), np.random.default_rng(2))
-        extractor.set_training(False)
         x = np.random.default_rng(3).standard_normal((1, 1, 6, 8))
         batch = np.concatenate([x, x], axis=0)
         out, _ = extractor.forward(batch)
@@ -616,7 +598,7 @@ def episode_windows(kind, tickers, days, window, episodes):
 
 
 def eval_net(arch, obs_shape, action_dim, dtype):
-    """An eval-mode network whose batch norms do not start as identities."""
+    """A network whose batch norms do not start as identities."""
     net = ActorCritic(arch, obs_shape, action_dim, seed=27, dtype=dtype)
     rng = np.random.default_rng(28)
     for name, tensor in [*net.named_buffers(), *net.named_parameters()]:
@@ -624,7 +606,6 @@ def eval_net(arch, obs_shape, action_dim, dtype):
             tensor[...] = rng.uniform(0.5, 2.0, tensor.shape)
         elif name.endswith(("running_mean", "beta")):
             tensor[...] = rng.standard_normal(tensor.shape)
-    net.set_training(False)
     return net
 
 
@@ -730,18 +711,6 @@ class TestWindowStream:
             mu, value = stream.forward(window[None])
             mu_ref, value_ref, _ = net.forward(window[None])
             assert mu.tobytes() == mu_ref.tobytes() and value.tobytes() == value_ref.tobytes()
-
-    def test_training_mode_is_rejected(self):
-        net = ActorCritic(TOY_ARCH, (6, 8), 2, seed=30)
-        with pytest.raises(ShuffleRlError, match="eval mode"):
-            WindowStream(net)
-        net.set_training(False)
-        stream = WindowStream(net)
-        window = np.ones((1, 6, 8))
-        stream.forward(window)
-        net.set_training(True)
-        with pytest.raises(ShuffleRlError, match="eval mode"):
-            stream.forward(window)
 
     @pytest.mark.parametrize("arch, tickers, window", SMALL_STREAM_ARCHS)
     def test_every_stage_layer_call_is_one_row(self, arch, tickers, window, monkeypatch):
@@ -877,8 +846,9 @@ class TestGradCheckHarness:
 class TestCheckpoint:
     def test_round_trip_identical(self, tmp_path):
         net = ActorCritic(TOY_ARCH, (6, 8), 3, seed=5)
-        # make running stats non-trivial
-        net.forward(np.random.default_rng(1).standard_normal((4, 6, 8)))
+        # make the batch-norm statistics non-trivial
+        windows = np.random.default_rng(1).standard_normal((4, 6, 8))
+        net.refresh_batch_norm(windows.__getitem__, len(windows))
         save_checkpoint(tmp_path / "ckpt", net, metadata={"note": "test"})
         loaded, manifest = load_checkpoint(tmp_path / "ckpt")
         assert manifest["metadata"]["note"] == "test"
@@ -887,8 +857,6 @@ class TestCheckpoint:
             loaded.named_parameters() + loaded.named_buffers(),
         ):
             assert pa.tobytes() == pb.tobytes(), name_a
-        net.set_training(False)
-        loaded.set_training(False)
         x = np.random.default_rng(2).standard_normal((2, 6, 8))
         mu_a, value_a, _ = net.forward(x)
         mu_b, value_b, _ = loaded.forward(x)
