@@ -17,9 +17,7 @@ with the same parameters have one fingerprint.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 from pathlib import Path
 
@@ -31,6 +29,7 @@ from shufflerl.data import (
     align_forward_fill,
     load_fundamentals,
     load_prices,
+    render_csv,
 )
 from shufflerl.errors import DataError
 
@@ -46,21 +45,12 @@ def dataset_fingerprint(prices_bytes: bytes, fundamentals_bytes: bytes) -> str:
     return f"sha256:{digest.hexdigest()}"
 
 
-def _csv_bytes(header: list[str], rows) -> bytes:
-    # csv writes a float as its repr, so every value reads back exactly.
-    text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return text.getvalue().encode("utf-8")
-
-
 def market_csvs(dataset: MarketDataset) -> tuple[bytes, bytes]:
     """The ``prices.csv`` and ``fundamentals.csv`` bytes an archive of
     ``dataset`` holds; their fingerprint is the market's identity."""
     days = [day.isoformat() for day in dataset.days]
     tickers = dataset.tickers
-    prices = _csv_bytes(
+    prices = render_csv(
         ["date", "ticker", "close"],
         ([day, ticker, price]
          for day, row in zip(days, dataset.close.tolist())
@@ -71,7 +61,7 @@ def market_csvs(dataset: MarketDataset) -> tuple[bytes, bytes]:
     bits = dataset.ratios.view(np.int64)
     changed = np.ones((dataset.n_days, len(tickers)), dtype=bool)
     changed[1:] = np.any(bits[1:] != bits[:-1], axis=1)
-    fundamentals = _csv_bytes(
+    fundamentals = render_csv(
         ["date", "ticker", *RATIO_COLUMNS],
         ([days[di], tickers[ti], *dataset.ratios[di, :, ti].tolist()]
          for di, ti in zip(*np.nonzero(changed))),

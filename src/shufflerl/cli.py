@@ -27,6 +27,7 @@ from shufflerl.data import (
     generate_synthetic_market,
     load_fundamentals,
     load_prices,
+    render_csv,
 )
 from shufflerl.env import EnvConfig
 from shufflerl.errors import ConfigError, DataError, ShuffleRlError
@@ -52,15 +53,6 @@ class _UsageError(ConfigError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _write_curve_csv(path: Path, rows) -> None:
-    """``CURVE_HEADER`` rows (agent, seed, timestep, episode, reward); csv
-    writes the float reward as its ``repr``, so it reads back bit-exact."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CURVE_HEADER)
-        writer.writerows(rows)
 
 
 def _write_stats_jsonl(path: Path, stats: list[dict]) -> None:
@@ -104,7 +96,8 @@ def _train_one(
         shutil.rmtree(stale, ignore_errors=True)
     staging.mkdir(parents=True)
     try:
-        _write_curve_csv(staging / "curve.csv", [(agent.kind, seed, *point) for point in result.curve])
+        curve = render_csv(CURVE_HEADER, ((agent.kind, seed, *point) for point in result.curve))
+        (staging / "curve.csv").write_bytes(curve)
         _write_stats_jsonl(staging / "stats.jsonl", result.update_stats)
         save_checkpoint(staging / "checkpoint", result.net, metadata)
         if run_dir.exists():
@@ -316,19 +309,17 @@ def cmd_compare(args) -> int:
                 label = f"{row['agent']}/seed{row['seed']}"
                 labeled.setdefault(label, []).append((int(row["timestep"]), float(row["reward"])))
 
-    _write_curve_csv(out_dir / "curves.csv", all_rows)
+    (out_dir / "curves.csv").write_bytes(render_csv(CURVE_HEADER, all_rows))
 
     table = compare_runs(labeled)
     write_aligned_curves_csv(labeled, out_dir / "curves_aligned.csv")
-    with open(out_dir / "table.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["label", "final_reward", "mean_reward", "peak_reward", "n_points"])
-        for row in table.rows:
-            writer.writerow([row.label, row.final_reward, row.mean_reward, row.peak_reward, row.n_points])
-    with open(out_dir / "pairwise.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["pair", "final_reward_difference"])
-        writer.writerows(table.pairwise_final_diff.items())
+    (out_dir / "table.csv").write_bytes(render_csv(
+        ["label", "final_reward", "mean_reward", "peak_reward", "n_points"],
+        ((row.label, row.final_reward, row.mean_reward, row.peak_reward, row.n_points) for row in table.rows),
+    ))
+    (out_dir / "pairwise.csv").write_bytes(
+        render_csv(["pair", "final_reward_difference"], table.pairwise_final_diff.items())
+    )
     reused = sum(1 for run in runs if run["reused"])
     if reused:
         print(f"reused {reused} cached run(s)")

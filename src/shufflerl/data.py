@@ -1,5 +1,5 @@
-"""Market data: CSV ingestion, forward-fill alignment, synthetic
-generation, the turbulence index, and date splits.
+"""Market data: CSV ingestion and rendering, forward-fill alignment,
+synthetic generation, the turbulence index, and date splits.
 
 Two input files feed the lab. A price CSV with header ``date,ticker,close``
 (one row per day/ticker pair, ISO-8601 dates) and a fundamentals CSV with
@@ -16,6 +16,7 @@ exchange-calendar logic.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from datetime import date, timedelta
@@ -96,18 +97,6 @@ class MarketDataset:
         return len(self.tickers)
 
 
-@dataclass(frozen=True)
-class TurbulenceSeries:
-    """Per-day turbulence values aligned to a dataset's days.
-
-    Entries before the lookback window fills are NaN; defined entries are
-    nonnegative.
-    """
-
-    values: np.ndarray
-    lookback: int
-
-
 def _parse_date(text: str, source: str, line: int) -> date:
     try:
         return date.fromisoformat(text.strip())
@@ -160,6 +149,18 @@ def _load_rows(path, kind: str, header: list[str], parse_cells) -> dict:
     if not table:
         raise DataError(f"{kind} file contains no data rows", source=source)
     return table
+
+
+def render_csv(header: list[str], rows) -> bytes:
+    """The bytes of every CSV the package writes: ``header``, then ``rows``,
+    in the ``csv`` module's default dialect (comma, minimal quoting, CRLF
+    line ends), UTF-8. A float is written as its ``repr``, so it reads back
+    bit-exact."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue().encode("utf-8")
 
 
 def _parse_close(row: list[str], source: str, line: int) -> float:
@@ -335,15 +336,15 @@ def _mahalanobis_sq(deviation: np.ndarray, covariance: np.ndarray) -> float:
     return float(deviation @ np.linalg.solve(covariance, deviation))
 
 
-def compute_turbulence(
-    dataset: MarketDataset, lookback: int = 252, ridge: float = 1e-6
-) -> TurbulenceSeries:
-    """Squared Mahalanobis distance of each day's return vector from the
-    mean of the prior ``lookback`` daily returns, under their
-    ridge-regularized sample covariance.
+def compute_turbulence(dataset: MarketDataset, lookback: int = 252, ridge: float = 1e-6) -> np.ndarray:
+    """Per-day turbulence, aligned to the dataset's days: the squared
+    Mahalanobis distance of each day's return vector from the mean of the
+    prior ``lookback`` daily returns, under their ridge-regularized sample
+    covariance.
 
     Day t is defined once t-1 .. t-lookback all have returns, i.e. from day
-    index ``lookback + 1`` on. Earlier entries are NaN.
+    index ``lookback + 1`` on. Earlier entries are NaN, before the lookback
+    fills; defined entries are nonnegative.
     """
     d = dataset.ticker_count
     if lookback < d + 2:
@@ -362,7 +363,7 @@ def compute_turbulence(
         mu = window.mean(axis=0)
         cov = np.cov(window, rowvar=False, ddof=1).reshape(d, d) + ridge * eye
         values[t] = max(_mahalanobis_sq(returns[t - 1] - mu, cov), 0.0)
-    return TurbulenceSeries(values, lookback)
+    return values
 
 
 def split_by_date(dataset: MarketDataset, boundary: date) -> tuple[MarketDataset, MarketDataset]:

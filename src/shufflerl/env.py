@@ -16,12 +16,12 @@ days ``0 .. window_length - 1``), and every ``step`` appends the new day's
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
-from shufflerl.data import MarketDataset, compute_turbulence
+from shufflerl.data import MarketDataset, compute_turbulence, render_csv
 from shufflerl.errors import EpisodeDoneError, InsufficientHistoryError, ShuffleRlError
 from shufflerl.features import (
     FeatureLayout,
@@ -29,7 +29,6 @@ from shufflerl.features import (
     WindowMatrix,
     apply_permutation,
     build_feature_vector,
-    init_window,
     slide_window,
 )
 
@@ -210,7 +209,7 @@ class TradingEnv:
         if lookback is None:
             return np.full(self.dataset.n_days, np.nan)
         try:
-            return compute_turbulence(self.dataset, lookback).values
+            return compute_turbulence(self.dataset, lookback)
         except InsufficientHistoryError:
             # Monitoring only: short datasets log NaN instead of failing. A
             # lookback too small for the ticker count raises a DataError.
@@ -238,8 +237,7 @@ class TradingEnv:
         )
         self.done = False
         self.trace: list[dict] = []
-        vectors = [self._day_vector(day) for day in range(cfg.window_length)]
-        self.observation = init_window(vectors, expected_length=cfg.window_length)
+        self.observation = WindowMatrix(np.stack([self._day_vector(day) for day in range(cfg.window_length)]))
         self._record_trace(portfolio_value(self.state, self.dataset.close[self.state.day_index]), 0.0, 0.0)
         return self.observation
 
@@ -285,13 +283,8 @@ class TradingEnv:
         return self.dataset.n_days - 1 - self.state.day_index
 
     def write_trace_csv(self, path) -> None:
-        if not self.trace:
-            raise ShuffleRlError("no trace recorded")
-        # csv writes a float as its repr, so every value reads back exactly.
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.DictWriter(handle, fieldnames=list(self.trace[0]))
-            writer.writeheader()
-            writer.writerows(self.trace)
+        """The ledger as CSV: one column per ``trace`` key, one row per day."""
+        Path(path).write_bytes(render_csv(list(self.trace[0]), (row.values() for row in self.trace)))
 
 
 def run_episode(env: TradingEnv, policy, gamma: float) -> float:

@@ -150,18 +150,6 @@ def apply_permutation(row: np.ndarray, spec: PermutationSpec) -> np.ndarray:
     return row[spec.perm]
 
 
-def init_window(rows: list[np.ndarray], expected_length: int | None = None) -> WindowMatrix:
-    """Stack ``window_length`` daily rows, oldest first."""
-    if not rows:
-        raise ShuffleRlError("cannot build a window from zero vectors")
-    if expected_length is not None and len(rows) != expected_length:
-        raise ShuffleRlError(f"expected {expected_length} vectors, got {len(rows)}")
-    widths = {len(row) for row in rows}
-    if len(widths) != 1:
-        raise ShuffleRlError(f"mixed widths in window: {sorted(widths)}")
-    return WindowMatrix(np.stack(rows))
-
-
 def slide_window(window: WindowMatrix, newest: np.ndarray) -> WindowMatrix:
     """Drop the oldest row, append ``newest``; shape is preserved."""
     width = window.rows.shape[1]

@@ -8,13 +8,14 @@ arguments because each silently shifts the metric.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from shufflerl.data import render_csv
 from shufflerl.errors import ShuffleRlError, UndefinedMetricError
 
 TRADING_DAYS_PER_YEAR = 252.0
@@ -147,11 +148,7 @@ def compare_runs(curves: dict[str, list[tuple[int, float]]]) -> ComparisonTable:
 
 
 def write_aligned_curves_csv(curves: dict[str, list[tuple[int, float]]], path) -> None:
-    """Long-format ``label,timestep,reward`` CSV for external plotting; csv
-    writes each float reward as its ``repr``, so it reads back bit-exact."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["label", "timestep", "reward"])
-        for label in sorted(curves):
-            for timestep, reward in sorted(curves[label], key=lambda p: p[0]):
-                writer.writerow([label, timestep, reward])
+    """Long-format ``label,timestep,reward`` CSV for external plotting:
+    labels sorted, each curve's points by timestep."""
+    rows = ((label, *point) for label in sorted(curves) for point in sorted(curves[label], key=lambda p: p[0]))
+    Path(path).write_bytes(render_csv(["label", "timestep", "reward"], rows))

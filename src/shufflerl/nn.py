@@ -415,6 +415,15 @@ class ArchSpec:
         return asdict(self)
 
 
+# The ArchSpec fields that only one extractor kind reads. A run config's
+# agent sets its own kind's fields and the log-std ones, which every kind
+# reads; the other kind's would leave its network as it is.
+EXTRACTOR_FIELDS = {
+    "cnn": ("conv_channels", "conv_kernels", "conv_strides", "embed_dim"),
+    "mlp": ("mlp_hidden",),
+}
+
+
 # _kaiming draws this many float64 values at a time.
 _INIT_CHUNK = 1 << 16
 
@@ -602,6 +611,13 @@ class ActorCritic:
         return ((self.log_std > low) & (self.log_std < high)).astype(np.float64)
 
 
+def slid_by_one_row(window: np.ndarray, previous: np.ndarray) -> bool:
+    """Whether ``window`` is ``previous`` slid up by one row, bit for bit,
+    so that -0.0 differs from 0.0 and a NaN matches its own bits."""
+    bits = f"u{window.itemsize}"
+    return np.array_equal(window[:-1].view(bits), previous[1:].view(bits))
+
+
 class WindowStream:
     """Forward of an ``ActorCritic`` over a sequence of windows, one
     observation at a time, reusing the convolution rows of the window before
@@ -681,9 +697,7 @@ class WindowStream:
         # forward that raises (a NaN, say) leaves the next to refill.
         previous, self._window = self._window, None
         state = self._stage_state()
-        bits = f"u{window.itemsize}"
-        slid = previous is not None and np.array_equal(window[:-1].view(bits), previous[1:].view(bits))
-        if slid and state == self._state:
+        if previous is not None and slid_by_one_row(window, previous) and state == self._state:
             self._feed(window, len(window) - 1)
         else:
             self.rebuilds += 1

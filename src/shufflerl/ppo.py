@@ -23,7 +23,7 @@ from shufflerl.env import EnvConfig, TradingEnv, run_episode
 from shufflerl.errors import NonFiniteError, ShuffleRlError
 from shufflerl.features import FeatureLayout, WindowMatrix, ticker_block_permutation
 from shufflerl.metrics import metrics_report
-from shufflerl.nn import ActorCritic, ArchSpec, WindowStream
+from shufflerl.nn import ActorCritic, ArchSpec, WindowStream, slid_by_one_row
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -161,9 +161,7 @@ class RolloutBuffer:
         i = self.pos
         height = self.obs_shape[0]
         # The previous step's window is the top `height` rows of the stack.
-        slid = i > 0 and np.array_equal(
-            obs[:-1].view(np.uint32), self.rows[self._row_count - height + 1 :].view(np.uint32)
-        )
+        slid = i > 0 and slid_by_one_row(obs, self.rows[self._row_count - height :])
         self._push_rows(obs[-1:] if slid else obs)
         self._starts[i] = self._row_count - height
         self.actions[i] = action

@@ -3,10 +3,11 @@
 The keys and value types of the dataset, env, ppo, arch and split sections
 are the fields of ``SyntheticMarket`` or ``ArchiveSource``, ``EnvConfig``,
 ``PpoConfig``, ``ArchSpec`` and ``SplitSpec``, and the dataclasses check
-their own values. Unknown keys are rejected (with a did-you-mean hint)
-rather than ignored. ``read_section`` is the one typed reader: the run
-config, a checkpoint's architecture and the metadata that ``evaluate``
-reads back all go through it. The fully resolved configuration is dumped
+their own values. An agent's ``arch`` takes only the ``ArchSpec`` fields its
+extractor kind reads (``nn.EXTRACTOR_FIELDS``). Unknown keys are rejected
+(with a did-you-mean hint) rather than ignored. ``read_section`` is the one
+typed reader: the run config, a checkpoint's architecture and the metadata
+that ``evaluate`` reads back all go through it. The fully resolved configuration is dumped
 into every run manifest, and that ``config`` re-parses to the same
 ``RunConfig``, so a manifest alone reproduces a run.
 """
@@ -25,7 +26,7 @@ from shufflerl.archive import dataset_fingerprint, load_archive, market_csvs
 from shufflerl.data import MarketDataset, SyntheticMarket, generate_synthetic_market, split_by_date
 from shufflerl.env import EnvConfig
 from shufflerl.errors import ConfigError, DataError, ShuffleRlError
-from shufflerl.nn import ArchSpec
+from shufflerl.nn import EXTRACTOR_FIELDS, ArchSpec
 from shufflerl.ppo import AGENT_KINDS, AgentSpec, PpoConfig
 
 
@@ -35,11 +36,19 @@ def _fields(cls, *excluded: str) -> dict:
     return {f.name: hints[f.name] for f in dataclass_fields(cls) if f.name not in excluded}
 
 
+def _unread_arch_fields(kind: str) -> list[str]:
+    """The ``ArchSpec`` fields that a ``kind`` extractor does not read."""
+    return [name for other, names in EXTRACTOR_FIELDS.items() if other != kind for name in names]
+
+
 # The permutation is derived from the agent, the seed comes from `seeds`, the
-# kind from the agent, and head_gain is fixed.
+# kind from the agent, and head_gain is fixed. An agent's arch keys leave out
+# the fields its extractor kind does not read.
 _ENV_KEYS = _fields(EnvConfig, "permutation")
 _PPO_KEYS = _fields(PpoConfig, "seed")
-_ARCH_KEYS = _fields(ArchSpec, "kind", "head_gain")
+_ARCH_KEYS = {
+    kind: _fields(ArchSpec, "kind", "head_gain", *_unread_arch_fields(kind)) for kind in EXTRACTOR_FIELDS
+}
 
 _TOP_KEYS = ("dataset", "env", "ppo", "agent", "agents", "seeds", "split", "out")
 
@@ -146,6 +155,8 @@ class RunConfig:
         names = [a.kind for a in self.agents]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate agent kinds in 'agents': {names}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"duplicate seeds in 'seeds': {list(self.seeds)}")
 
     def resolved_dict(self) -> dict:
         """Full configuration with every default made explicit."""
@@ -155,7 +166,7 @@ class RunConfig:
             "env": _dumped(self.env, _ENV_KEYS),
             "ppo": _dumped(self.ppo, _PPO_KEYS),
             "agents": [
-                {"kind": agent.kind, "arch": _dumped(agent.resolve_arch(), _ARCH_KEYS)}
+                {"kind": agent.kind, "arch": _dumped(agent.resolve_arch(), _ARCH_KEYS[agent.extractor_kind])}
                 for agent in self.agents
             ],
             "seeds": list(self.seeds),
@@ -186,7 +197,13 @@ def _parse_agent(section: str, data) -> AgentSpec:
     if kind not in AGENT_KINDS:
         raise ConfigError(f"{section}.kind must be one of {AGENT_KINDS}, got {kind!r}")
     extractor_kind = AgentSpec(kind=kind).extractor_kind
-    arch = read_section(f"{section}.arch", ArchSpec, data.get("arch", {}), _ARCH_KEYS, kind=extractor_kind)
+    arch = data.get("arch", {})
+    for key in _unread_arch_fields(extractor_kind):
+        if isinstance(arch, dict) and key in arch:
+            raise ConfigError(
+                f"{section}.arch.{key} does not apply to a {kind!r} agent: its network does not read it"
+            )
+    arch = read_section(f"{section}.arch", ArchSpec, arch, _ARCH_KEYS[extractor_kind], kind=extractor_kind)
     return AgentSpec(kind=kind, arch=arch)
 
 

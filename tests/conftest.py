@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from shufflerl.data import RATIO_COUNT, MarketDataset, TurbulenceSeries
+from shufflerl.data import RATIO_COUNT, MarketDataset
 from shufflerl.features import PermutationSpec
 from shufflerl.ppo import policy_mean
 
@@ -37,9 +37,9 @@ def invert_permutation(spec: PermutationSpec) -> PermutationSpec:
     return PermutationSpec(inverse)
 
 
-def defined_mask(series: TurbulenceSeries) -> np.ndarray:
+def defined_mask(series: np.ndarray) -> np.ndarray:
     """Days whose turbulence is defined (past the lookback)."""
-    return np.isfinite(series.values)
+    return np.isfinite(series)
 
 
 class SignBandit:

@@ -3,7 +3,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,9 @@ from shufflerl.cli import main
 from shufflerl.data import RATIO_COLUMNS, RATIO_COUNT, generate_synthetic_market
 from shufflerl.env import EnvConfig
 from shufflerl.errors import ConfigError, DataError
-from shufflerl.ppo import PpoConfig
+from shufflerl.metrics import compare_runs
+from shufflerl.nn import ActorCritic
+from shufflerl.ppo import AGENT_KINDS, PpoConfig, evaluate, train
 from shufflerl.runconfig import parse_run_config, resolve_split
 
 
@@ -201,10 +205,40 @@ class TestRunConfig:
         ("arch", "log_std_init", math.nan, r"^agent\.arch: log_std_init must be finite"),
     ])
     def test_bad_value_rejected(self, archive, section, key, value, message):
-        data = base_config(archive, agent={"kind": "cnn", "arch": {}})
+        data = base_config(archive, agent={"kind": "mlp" if key == "mlp_hidden" else "cnn", "arch": {}})
         (data["agent"] if section == "arch" else data)[section][key] = value
         with pytest.raises(ConfigError, match=message):
             parse_run_config(json.loads(json.dumps(data)))
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("cnn", "mlp_hidden", [999]),
+        ("cnn-shuffled", "mlp_hidden", [4]),
+        ("mlp", "conv_channels", [2, 2]),
+        ("mlp", "conv_kernels", [[2, 4], [2, 4]]),
+        ("mlp", "conv_strides", [[1, 2], [1, 2]]),
+        ("mlp", "embed_dim", 4),
+    ])
+    def test_arch_key_the_agent_does_not_read_rejected(self, archive, kind, key, value):
+        data = base_config(archive, agents=[MLP_AGENT, {"kind": kind, "arch": {key: value}}])
+        message = f"agents[1].arch.{key} does not apply to a '{kind}' agent: its network does not read it"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_run_config(data)
+
+    @pytest.mark.parametrize("kind", AGENT_KINDS)
+    def test_every_settable_arch_key_changes_the_network(self, archive, kind):
+        base = (MLP_AGENT if kind == "mlp" else CNN_AGENT)["arch"]
+        changed = {"conv_channels": [3, 2], "conv_kernels": [[3, 4], [2, 4]], "conv_strides": [[2, 2], [1, 2]],
+                   "embed_dim": 5, "mlp_hidden": [5], "log_std_init": -3.0, "log_std_bounds": [-0.5, 2.0]}
+
+        def network(arch):
+            agent = parse_run_config(base_config(archive, agent={"kind": kind, "arch": arch})).agents[0]
+            net = ActorCritic(agent.resolve_arch(), (4, 35), 2, seed=0)
+            return [(name, t.shape) for name, t in net.named_parameters()], net.effective_log_std().tolist()
+
+        keys = parse_run_config(base_config(archive, agent={"kind": kind})).resolved_dict()["agents"][0]["arch"]
+        assert len(keys) == (3 if kind == "mlp" else 6)
+        for key in keys:
+            assert network({**base, key: changed[key]}) != network(base), key
 
     def test_unknown_key_suggestion(self, archive):
         data = base_config(archive, agent=MLP_AGENT)
@@ -480,6 +514,20 @@ class TestCliTrain:
                "dataset": {"source": "synthetic", "tickers": 2, "days": 30, **market}}
         write_json(tmp_path / "cfg.json", cfg)
         assert main(["train", "--config", str(tmp_path / "cfg.json")]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    @pytest.mark.parametrize("edit, message", [
+        ({"seeds": [0, 0]}, "duplicate seeds in 'seeds': [0, 0]"),
+        ({"agents": [MLP_AGENT, {**SHUFFLED_AGENT, "arch": {**SHUFFLED_AGENT["arch"], "mlp_hidden": [8]}}]},
+         "agents[1].arch.mlp_hidden does not apply to a 'cnn-shuffled' agent: its network does not read it"),
+    ], ids=["duplicate-seeds", "mlp_hidden-on-cnn-shuffled"])
+    def test_repeated_or_unread_config_writes_nothing(self, tmp_path, archive, capsys, command, edit, message):
+        agents = [MLP_AGENT, SHUFFLED_AGENT]
+        cfg = {**base_config(archive, out=tmp_path / "run", agents=agents, seeds=(0, 1)), **edit}
+        write_json(tmp_path / "cfg.json", cfg)
+        assert main([command, "--config", str(tmp_path / "cfg.json")]) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "run").exists()
 
@@ -835,6 +883,71 @@ class TestCliCompare:
         reparsed = parse_run_config(config)
         assert json.loads(json.dumps(reparsed.resolved_dict())) == config  # as stored: tuples become lists
         assert reparsed == parse_run_config(cfg)
+
+    def test_every_csv_reads_back_bit_exact(self, tmp_path, archive, monkeypatch):
+        # One CSV dialect for every file: CRLF line ends, and each float cell
+        # reads back to the bits of the value it was written from.
+        def bits(value):
+            return struct.pack("<d", float(value))
+
+        def read(path):
+            with open(path, newline="", encoding="utf-8") as handle:
+                return list(csv.reader(handle))[1:]
+
+        curves, envs = {}, []
+
+        def recording_train(dataset, env_config, agent, ppo_config):
+            result = train(dataset, env_config, agent, ppo_config)
+            curves[(agent.kind, ppo_config.seed)] = result.curve
+            return result
+
+        def recording_evaluate(*args):
+            report, env = evaluate(*args)
+            envs.append(env)
+            return report, env
+
+        monkeypatch.setattr(cli, "train", recording_train)
+        monkeypatch.setattr(cli, "evaluate", recording_evaluate)
+        cfg = base_config(archive, out=tmp_path / "cmp", agents=[MLP_AGENT, SHUFFLED_AGENT], seeds=(0, 1))
+        cfg["env"]["turbulence_lookback"] = 4  # defined from day 5, so the trace holds real values
+        write_json(tmp_path / "cmp.json", cfg)
+        assert main(["compare", "--config", str(tmp_path / "cmp.json")]) == 0
+        ckpt = tmp_path / "cmp" / "runs" / "cnn-shuffled-seed1" / "checkpoint"
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--dataset", str(archive),
+                     "--split", "train", "--out", str(tmp_path / "eval")]) == 0
+
+        written = sorted((tmp_path / "cmp").rglob("*.csv")) + [tmp_path / "eval" / "trace.csv"]
+        assert len(written) == 4 + 4 + 1  # four runs' curve.csv, the four comparison files, the trace
+        for path in written:
+            data = path.read_bytes()
+            assert data.endswith(b"\r\n") and data.count(b"\n") == data.count(b"\r\n"), path
+
+        for (kind, seed), curve in curves.items():
+            rows = read(tmp_path / "cmp" / "runs" / f"{kind}-seed{seed}" / "curve.csv")
+            assert [(r[:4], bits(r[4])) for r in rows] == [
+                ([kind, str(seed), str(t), str(e)], bits(reward)) for t, e, reward in curve
+            ]
+        labeled = {
+            f"{kind}/seed{seed}": [(t, reward) for t, _, reward in curve] for (kind, seed), curve in curves.items()
+        }
+        table = compare_runs(labeled)
+        assert [(r[0], [bits(v) for v in r[1:4]], r[4]) for r in read(tmp_path / "cmp" / "table.csv")] == [
+            (row.label, [bits(row.final_reward), bits(row.mean_reward), bits(row.peak_reward)], str(row.n_points))
+            for row in table.rows
+        ]
+        assert [(pair, bits(diff)) for pair, diff in read(tmp_path / "cmp" / "pairwise.csv")] == [
+            (pair, bits(diff)) for pair, diff in table.pairwise_final_diff.items()
+        ]
+        assert [(label, t, bits(reward)) for label, t, reward in read(tmp_path / "cmp" / "curves_aligned.csv")] == [
+            (label, str(t), bits(reward)) for label in sorted(labeled) for t, reward in sorted(labeled[label])
+        ]
+
+        (env,) = envs
+        trace = read(tmp_path / "eval" / "trace.csv")
+        assert any(math.isfinite(row["turbulence"]) for row in env.trace)
+        for cells, row in zip(trace, env.trace, strict=True):
+            for cell, value in zip(cells, row.values(), strict=True):
+                assert bits(cell) == bits(value) if isinstance(value, float) else cell == str(value)
 
     def test_fewer_than_two_agents(self, tmp_path, archive, capsys):
         cfg = base_config(archive, out=tmp_path / "cmp", agents=[MLP_AGENT])

@@ -331,13 +331,13 @@ class TestTurbulence:
 
     def test_constant_prices_all_zero(self, flat_market):
         series = compute_turbulence(flat_market, lookback=4)
-        defined = series.values[defined_mask(series)]
+        defined = series[defined_mask(series)]
         assert defined.shape == (5,)
         np.testing.assert_array_equal(defined, 0.0)
 
     def test_undefined_before_window_fills(self, flat_market):
         series = compute_turbulence(flat_market, lookback=4)
-        assert np.all(np.isnan(series.values[:5]))
+        assert np.all(np.isnan(series[:5]))
 
     def test_matches_pure_python_oracle(self):
         dataset = generate_synthetic_market(seed=9, tickers=2, days=30, drift=0.0, volatility=0.02)
@@ -345,12 +345,12 @@ class TestTurbulence:
         series = compute_turbulence(dataset, lookback=lookback)
         for t in [7, 15, 29]:
             expected = turbulence_oracle_one_day(dataset, lookback, t)
-            assert series.values[t] == pytest.approx(expected, rel=1e-9)
+            assert series[t] == pytest.approx(expected, rel=1e-9)
 
     def test_nonnegative(self):
         dataset = generate_synthetic_market(seed=17, tickers=3, days=60, volatility=0.03)
         series = compute_turbulence(dataset, lookback=8)
-        assert np.all(series.values[defined_mask(series)] >= 0.0)
+        assert np.all(series[defined_mask(series)] >= 0.0)
 
     def test_invariant_to_uniform_rescaling(self):
         dataset = generate_synthetic_market(seed=21, tickers=2, days=40, volatility=0.02)
@@ -358,7 +358,7 @@ class TestTurbulence:
         a = compute_turbulence(dataset, lookback=6)
         b = compute_turbulence(scaled, lookback=6)
         np.testing.assert_allclose(
-            a.values[defined_mask(a)], b.values[defined_mask(b)], rtol=1e-9
+            a[defined_mask(a)], b[defined_mask(b)], rtol=1e-9
         )
 
     def test_insufficient_history(self, flat_market):

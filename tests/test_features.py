@@ -9,9 +9,9 @@ from shufflerl.errors import NonFiniteError, ShuffleRlError
 from shufflerl.features import (
     FeatureLayout,
     PermutationSpec,
+    WindowMatrix,
     apply_permutation,
     build_feature_vector,
-    init_window,
     slide_window,
     ticker_block_permutation,
 )
@@ -189,24 +189,8 @@ class TestWindow:
     def _vectors(self, count, width=4, start=0.0):
         return [np.full(width, start + k) for k in range(count)]
 
-    def test_init_orders_rows(self):
-        window = init_window(self._vectors(3), expected_length=3)
-        assert window.rows.shape == (3, 4)
-        np.testing.assert_array_equal(window.rows[0], np.zeros(4))
-        np.testing.assert_array_equal(window.rows[2], np.full(4, 2.0))
-
-    def test_wrong_count(self):
-        with pytest.raises(ShuffleRlError):
-            init_window(self._vectors(89), expected_length=90)
-
-    def test_mixed_widths_rejected(self):
-        vectors = self._vectors(2)
-        vectors[1] = np.zeros(5)
-        with pytest.raises(ShuffleRlError):
-            init_window(vectors)
-
     def test_slide_semantics(self):
-        window = init_window(self._vectors(3))
+        window = WindowMatrix(np.stack(self._vectors(3)))
         slid = slide_window(window, np.full(4, 9.0))
         assert slid.rows.shape == window.rows.shape
         np.testing.assert_array_equal(slid.rows[0], np.full(4, 1.0))
@@ -216,14 +200,14 @@ class TestWindow:
 
     def test_slide_replay_replaces_all_rows(self):
         length = 5
-        window = init_window(self._vectors(length))
+        window = WindowMatrix(np.stack(self._vectors(length)))
         news = self._vectors(length, start=100.0)
         for vec in news:
             window = slide_window(window, vec)
         np.testing.assert_array_equal(window.rows, np.stack(news))
 
     def test_slide_width_mismatch(self):
-        window = init_window(self._vectors(3))
+        window = WindowMatrix(np.stack(self._vectors(3)))
         with pytest.raises(ShuffleRlError):
             slide_window(window, np.zeros(5))
 
@@ -235,9 +219,9 @@ class TestWindow:
         newest = rng.standard_normal(layout.total)
 
         shuffled_then_slid = slide_window(
-            init_window([apply_permutation(v, spec) for v in vectors]),
+            WindowMatrix(np.stack([apply_permutation(v, spec) for v in vectors])),
             apply_permutation(newest, spec),
         )
-        slid = slide_window(init_window(vectors), newest)
+        slid = slide_window(WindowMatrix(np.stack(vectors)), newest)
         slid_then_shuffled = np.stack([row[spec.perm] for row in slid.rows])
         np.testing.assert_array_equal(shuffled_then_slid.rows, slid_then_shuffled)
