@@ -9,7 +9,6 @@ declared output directory.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import shutil
@@ -27,6 +26,8 @@ from shufflerl.data import (
     generate_synthetic_market,
     load_fundamentals,
     load_prices,
+    parse_number,
+    read_csv,
     render_csv,
 )
 from shufflerl.env import EnvConfig
@@ -44,6 +45,8 @@ from shufflerl.runconfig import (
 )
 
 CURVE_HEADER = ["agent", "seed", "timestep", "episode", "reward"]
+# The out dir's own record of a command, written once every run has finished.
+RECORD_FILES = ("curves.csv", "curves_aligned.csv", "table.csv", "pairwise.csv", "manifest.json")
 
 
 class _UsageError(ConfigError):
@@ -109,17 +112,28 @@ def _train_one(
     return result
 
 
+def _read_curve(path: Path) -> list[tuple[str, int, int, int, float]]:
+    """A run's ``curve.csv`` rows, typed as ``_train_one`` wrote them."""
+    return [
+        (agent, *(parse_number(cell, name, str(path), line, int) for cell, name in zip(ints, CURVE_HEADER[1:4])),
+         parse_number(reward, "reward", str(path), line))
+        for line, (agent, *ints, reward) in read_csv(path, CURVE_HEADER)
+    ]
+
+
 def _run_is_cached(run_dir: Path, metadata: dict, arch: ArchSpec) -> bool:
-    """A run is reused only if ``load_checkpoint`` accepts its checkpoint and
-    the checkpoint records the architecture, metadata and source hash this
-    run would write. The hash covers ``__init__.py``, so a version bump also
-    retrains."""
+    """A run is reused only if ``load_checkpoint`` accepts its checkpoint,
+    its curve reads back through ``_read_curve`` with at least one point,
+    and the checkpoint records the architecture, metadata and source hash
+    this run would write. The hash covers ``__init__.py``, so a version bump
+    also retrains."""
     try:
         net, manifest = load_checkpoint(run_dir / "checkpoint")
+        curve = _read_curve(run_dir / "curve.csv")
     except ShuffleRlError:
         return False
     return (
-        (run_dir / "curve.csv").exists()
+        len(curve) > 0
         and (run_dir / "stats.jsonl").exists()
         and net.arch == arch
         and manifest.get("source_hash") == source_hash()
@@ -193,7 +207,9 @@ def _execute_runs(
             )
             if not cached:
                 jobs.append((agent, seed, run_dir, metadata))
-    _write_manifest(out_dir, config, fingerprint, runs, dataset.ticker_count)
+    # Until the last run has finished, no record names runs a failure may not have trained.
+    for name in RECORD_FILES:
+        (out_dir / name).unlink(missing_ok=True)
     for job in jobs:
         _train_one(config, dataset, *job)
     return runs
@@ -239,6 +255,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     config, train_split, fingerprint, out_dir = _prepare_training(args, require_comparison=False)
     runs = _execute_runs(config, train_split, fingerprint, out_dir, reuse_cached=False)
+    _write_manifest(out_dir, config, fingerprint, runs, train_split.ticker_count)
     for run in runs:
         print(f"trained {run['agent']} seed {run['seed']} -> {out_dir / run['dir']}")
     return 0
@@ -288,28 +305,9 @@ def cmd_compare(args) -> int:
     config, train_split, fingerprint, out_dir = _prepare_training(args, require_comparison=True)
     runs = _execute_runs(config, train_split, fingerprint, out_dir, reuse_cached=True)
 
-    all_rows: list[tuple[str, int, int, int, float]] = []
-    labeled: dict[str, list[tuple[int, float]]] = {}
-    for run in runs:
-        curve_path = out_dir / run["curve"]
-        with open(curve_path, newline="", encoding="utf-8") as handle:
-            reader = csv.DictReader(handle)
-            if reader.fieldnames != CURVE_HEADER:
-                raise DataError(f"unexpected curve header {reader.fieldnames}", source=str(curve_path))
-            for row in reader:
-                all_rows.append(
-                    (
-                        row["agent"],
-                        int(row["seed"]),
-                        int(row["timestep"]),
-                        int(row["episode"]),
-                        float(row["reward"]),
-                    )
-                )
-                label = f"{row['agent']}/seed{row['seed']}"
-                labeled.setdefault(label, []).append((int(row["timestep"]), float(row["reward"])))
-
-    (out_dir / "curves.csv").write_bytes(render_csv(CURVE_HEADER, all_rows))
+    curves = {f"{run['agent']}/seed{run['seed']}": _read_curve(out_dir / run["curve"]) for run in runs}
+    labeled = {label: [(timestep, reward) for _, _, timestep, _, reward in rows] for label, rows in curves.items()}
+    (out_dir / "curves.csv").write_bytes(render_csv(CURVE_HEADER, (row for rows in curves.values() for row in rows)))
 
     table = compare_runs(labeled)
     write_aligned_curves_csv(labeled, out_dir / "curves_aligned.csv")
@@ -320,6 +318,7 @@ def cmd_compare(args) -> int:
     (out_dir / "pairwise.csv").write_bytes(
         render_csv(["pair", "final_reward_difference"], table.pairwise_final_diff.items())
     )
+    _write_manifest(out_dir, config, fingerprint, runs, train_split.ticker_count)
     reused = sum(1 for run in runs if run["reused"])
     if reused:
         print(f"reused {reused} cached run(s)")

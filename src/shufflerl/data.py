@@ -1,4 +1,4 @@
-"""Market data: CSV ingestion and rendering, forward-fill alignment,
+"""Market data: CSV reading and rendering, forward-fill alignment,
 synthetic generation, the turbulence index, and date splits.
 
 Two input files feed the lab. A price CSV with header ``date,ticker,close``
@@ -104,48 +104,60 @@ def _parse_date(text: str, source: str, line: int) -> date:
         raise DataError(f"bad ISO-8601 date {text!r}", source=source, line=line) from None
 
 
-def _parse_float(text: str, column: str, source: str, line: int) -> float:
+def parse_number(text: str, column: str, source: str, line: int, parse=float):
+    """``text`` as a finite ``parse`` value, ``float`` or ``int``."""
     try:
-        value = float(text)
+        value = parse(text)
     except ValueError:
-        raise DataError(f"non-numeric value {text!r} in column {column!r}", source=source, line=line) from None
+        kind = "numeric" if parse is float else "integer"
+        raise DataError(f"non-{kind} value {text!r} in column {column!r}", source=source, line=line) from None
     if not math.isfinite(value):
         raise DataError(f"non-finite value {text!r} in column {column!r}", source=source, line=line)
     return value
 
 
-def _load_rows(path, kind: str, header: list[str], parse_cells) -> dict:
-    """The rows of a ``kind`` CSV with ``header``, keyed by (date, ticker).
-
-    Checks the header, each row's column count, date and ticker, and that
-    no (date, ticker) pair repeats; ``parse_cells(row, source, line)`` turns
-    a row into its value. Every error names the file and, for a row, its line.
-    """
+def read_csv(path, header: list[str]):
+    """The reader of every CSV the package reads: yields ``(line, row)`` for
+    each non-blank row after ``header``, which must be the file's first row,
+    and checks each row's length. Every error is a ``DataError`` naming the
+    file and, for a row, its line."""
     source = str(path)
-    table: dict = {}
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
-        raise DataError(f"cannot open {kind} file: {exc}", source=source) from None
+        raise DataError(f"cannot open file: {exc.strerror}", source=source) from None
     with handle:
         reader = csv.reader(handle)
-        first = next(reader, None)
-        if first is None or [h.strip() for h in first] != header:
-            raise DataError(f"expected header {','.join(header)!r}, got {first}", source=source, line=1)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"expected {len(header)} columns, got {len(row)}", source=source, line=line_no)
-            day = _parse_date(row[0], source, line_no)
-            ticker = row[1].strip()
-            if not ticker:
-                raise DataError("empty ticker", source=source, line=line_no)
-            value = parse_cells(row, source, line_no)
-            key = (day, ticker)
-            if key in table:
-                raise DataError(f"duplicate (date, ticker) pair ({day}, {ticker})", source=source, line=line_no)
-            table[key] = value
+        try:
+            first = next(reader, None)
+            if first is None or [h.strip() for h in first] != header:
+                raise DataError(f"expected header {','.join(header)!r}, got {first}", source=source, line=1)
+            for line, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    if not row:
+                        continue
+                    raise DataError(f"expected {len(header)} columns, got {len(row)}", source=source, line=line)
+                yield line, row
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise DataError(f"not a UTF-8 CSV file ({exc})", source=source) from None
+
+
+def _load_rows(path, kind: str, header: list[str], parse_cells) -> dict:
+    """The rows of a ``kind`` CSV with ``header``, keyed by (date, ticker),
+    each turned into its value by ``parse_cells(row, source, line)``. Checks
+    dates, tickers and repeated pairs on top of :func:`read_csv`'s checks."""
+    source = str(path)
+    table: dict = {}
+    for line, row in read_csv(path, header):
+        day = _parse_date(row[0], source, line)
+        ticker = row[1].strip()
+        if not ticker:
+            raise DataError("empty ticker", source=source, line=line)
+        value = parse_cells(row, source, line)
+        key = (day, ticker)
+        if key in table:
+            raise DataError(f"duplicate (date, ticker) pair ({day}, {ticker})", source=source, line=line)
+        table[key] = value
     if not table:
         raise DataError(f"{kind} file contains no data rows", source=source)
     return table
@@ -164,33 +176,27 @@ def render_csv(header: list[str], rows) -> bytes:
 
 
 def _parse_close(row: list[str], source: str, line: int) -> float:
-    price = _parse_float(row[2], "close", source, line)
+    price = parse_number(row[2], "close", source, line)
     if price <= 0:
         raise DataError(f"nonpositive close {price} for {row[1].strip()}", source=source, line=line)
     return price
 
 
 def _parse_ratios(row: list[str], source: str, line: int) -> np.ndarray:
-    return np.array([_parse_float(cell, RATIO_COLUMNS[j], source, line) for j, cell in enumerate(row[2:])])
+    return np.array([parse_number(cell, RATIO_COLUMNS[j], source, line) for j, cell in enumerate(row[2:])])
 
 
 def load_prices(path) -> dict[tuple[date, str], float]:
-    """Parse a ``date,ticker,close`` CSV into ``{(date, ticker): close}``.
-
-    Rejects nonpositive prices, malformed rows, and duplicate
-    (date, ticker) pairs, naming the offending line.
-    """
+    """Parse a ``date,ticker,close`` CSV into ``{(date, ticker): close}``;
+    a nonpositive close is an error."""
     return _load_rows(path, "price", ["date", "ticker", "close"], _parse_close)
 
 
 def load_fundamentals(path) -> dict[tuple[date, str], np.ndarray]:
     """Parse a fundamentals CSV (``date,ticker`` plus the 15 ratio columns)
     into ``{(date, ticker): ratios}``, each a length-15 array in
-    :data:`RATIO_COLUMNS` order.
-
-    Observations may be sparse in time and in any row order. Non-numeric or
-    non-finite cells are rejected with their column name and line number.
-    """
+    :data:`RATIO_COLUMNS` order. Observations may be sparse in time and in
+    any row order."""
     return _load_rows(path, "fundamentals", ["date", "ticker", *RATIO_COLUMNS], _parse_ratios)
 
 

@@ -14,11 +14,11 @@ import pytest
 from conftest import make_dataset
 from shufflerl import cli
 from shufflerl.archive import load_archive, save_archive
-from shufflerl.checkpoint import save_checkpoint
+from shufflerl.checkpoint import load_checkpoint, save_checkpoint
 from shufflerl.cli import main
-from shufflerl.data import RATIO_COLUMNS, RATIO_COUNT, generate_synthetic_market
+from shufflerl.data import RATIO_COLUMNS, RATIO_COUNT, generate_synthetic_market, render_csv
 from shufflerl.env import EnvConfig
-from shufflerl.errors import ConfigError, DataError
+from shufflerl.errors import ConfigError, DataError, ShuffleRlError
 from shufflerl.metrics import compare_runs
 from shufflerl.nn import ActorCritic
 from shufflerl.ppo import AGENT_KINDS, PpoConfig, evaluate, train
@@ -57,6 +57,33 @@ CNN_AGENT = {
              "conv_strides": [[1, 2], [1, 2]], "embed_dim": 4},
 }
 SHUFFLED_AGENT = {**CNN_AGENT, "kind": "cnn-shuffled"}
+
+
+# Each fault a curve.csv can have, with the cell it writes into a data row.
+CURVE_FAULTS = {
+    "non-numeric reward": (4, b"oops"),
+    "non-integer timestep": (2, b"1.5"),
+    "wrong header": None,
+    "missing column": (4, None),
+    "not UTF-8": (0, b"\xff"),
+}
+
+
+def break_curve(path, fault, line):
+    """Write ``fault`` into line ``line`` of the curve.csv at ``path``, or
+    into its header."""
+    lines = path.read_bytes().split(b"\r\n")
+    if CURVE_FAULTS[fault] is None:
+        lines[0] = lines[0].replace(b"reward", b"return")
+    else:
+        index, cell = CURVE_FAULTS[fault]
+        cells = lines[line - 1].split(b",")
+        if cell is None:
+            del cells[index]
+        else:
+            cells[index] = cell
+        lines[line - 1] = b",".join(cells)
+    path.write_bytes(b"\r\n".join(lines))
 
 
 @pytest.fixture
@@ -872,6 +899,64 @@ class TestCliCompare:
         assert "reused" not in capsys.readouterr().out
         manifest = json.loads((tmp_path / "cmp" / "manifest.json").read_text())
         assert not any(run["reused"] for run in manifest["runs"])
+
+    @pytest.mark.parametrize("fault", [*CURVE_FAULTS, "no rows"])
+    def test_unreadable_curve_retrains(self, tmp_path, archive, capsys, fault):
+        path = self._two_agents(tmp_path, archive, 32)
+        assert main(["compare", "--config", str(path)]) == 0
+        curve = tmp_path / "cmp" / "runs" / "cnn-seed0" / "curve.csv"
+        original = curve.read_bytes()
+        if fault == "no rows":  # reads back, but has no point to compare
+            curve.write_bytes(original.split(b"\r\n")[0] + b"\r\n")
+        else:
+            break_curve(curve, fault, 2)
+        capsys.readouterr()
+        assert main(["compare", "--config", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert "reused 1 cached run(s)" in out and err == ""
+        runs = json.loads((tmp_path / "cmp" / "manifest.json").read_text())["runs"]
+        assert {run["agent"]: run["reused"] for run in runs} == {"mlp": True, "cnn": False}
+        assert curve.read_bytes() == original
+
+    @pytest.mark.parametrize("fault, line, message", [
+        ("non-numeric reward", 3, "non-numeric value 'oops' in column 'reward'"),
+        ("non-integer timestep", 3, "non-integer value '1.5' in column 'timestep'"),
+        ("wrong header", 1, "expected header 'agent,seed,timestep,episode,reward'"),
+        ("missing column", 3, "expected 5 columns, got 4"),
+        ("not UTF-8", None, "not a UTF-8 CSV file"),
+    ])
+    def test_read_curve_names_file_and_line(self, tmp_path, fault, line, message):
+        curve = tmp_path / "curve.csv"
+        curve.write_bytes(render_csv(cli.CURVE_HEADER, [("cnn", 0, 20, 1, 0.25), ("cnn", 0, 40, 2, -0.5)]))
+        assert cli._read_curve(curve) == [("cnn", 0, 20, 1, 0.25), ("cnn", 0, 40, 2, -0.5)]
+        break_curve(curve, fault, 3)
+        with pytest.raises(DataError, match=message) as excinfo:
+            cli._read_curve(curve)
+        assert (excinfo.value.source, excinfo.value.line) == (str(curve), line)
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_failed_rerun_leaves_no_record(self, tmp_path, archive, monkeypatch, capsys, command):
+        # Config A trains both runs. Config B changes only the learning rate;
+        # it retrains the first run and fails on the second.
+        cfg = base_config(archive, out=tmp_path / "out", agents=[MLP_AGENT, SHUFFLED_AGENT])
+        write_json(tmp_path / "a.json", cfg)
+        assert main([command, "--config", str(tmp_path / "a.json")]) == 0
+        cfg["ppo"]["learning_rate"] = 1e-3
+        write_json(tmp_path / "b.json", cfg)
+
+        def fail_on_shuffled(dataset, env_config, agent, ppo_config):
+            if agent.kind == "cnn-shuffled":
+                raise ShuffleRlError("the run failed")
+            return train(dataset, env_config, agent, ppo_config)
+
+        monkeypatch.setattr(cli, "train", fail_on_shuffled)
+        assert main([command, "--config", str(tmp_path / "b.json")]) == 3
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["runs"]
+        learning_rates = {}
+        for run_dir in (tmp_path / "out" / "runs").iterdir():
+            _, manifest = load_checkpoint(run_dir / "checkpoint")
+            learning_rates[run_dir.name] = manifest["metadata"]["ppo"]["learning_rate"]
+        assert learning_rates == {"mlp-seed0": 1e-3, "cnn-shuffled-seed0": 3e-4}
 
     def test_manifest_config_reparses(self, tmp_path, archive):
         cfg = base_config(archive, out=tmp_path / "cmp", agents=[MLP_AGENT, CNN_AGENT])

@@ -16,6 +16,8 @@ from shufflerl.data import (
     generate_synthetic_market,
     load_fundamentals,
     load_prices,
+    read_csv,
+    render_csv,
     split_by_date,
 )
 from shufflerl.errors import InsufficientHistoryError
@@ -128,6 +130,31 @@ class TestLoadFundamentals:
         write_fundamentals(path, [("2015-01-02", "AXP", *cells)])
         with pytest.raises(DataError, match="current_ratio"):
             load_fundamentals(path)
+
+
+class TestReadCsv:
+    def test_rows_with_their_lines(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(render_csv(["a", "b"], [[1, 2], [], ["x,y", 3]]))
+        assert list(read_csv(path, ["a", "b"])) == [(2, ["1", "2"]), (4, ["x,y", "3"])]
+
+    def test_header_only_yields_nothing(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(render_csv(["a", "b"], []))
+        assert list(read_csv(path, ["a", "b"])) == []
+
+    @pytest.mark.parametrize("content, line, message", [
+        (b"", 1, "expected header 'a,b', got None"),
+        (b"a,c\r\n1,2\r\n", 1, "expected header 'a,b'"),
+        (b"a,b\r\n1,2\r\n1,2,3\r\n", 3, "expected 2 columns, got 3"),
+        (b"a,b\r\n\xff,2\r\n", None, "not a UTF-8 CSV file"),
+    ])
+    def test_error_names_file_and_line(self, tmp_path, content, line, message):
+        path = tmp_path / "t.csv"
+        path.write_bytes(content)
+        with pytest.raises(DataError, match=message) as excinfo:
+            list(read_csv(path, ["a", "b"]))
+        assert (excinfo.value.source, excinfo.value.line) == (str(path), line)
 
 
 class TestAlignForwardFill:
