@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import sys
@@ -34,7 +35,7 @@ from shufflerl.env import EnvConfig
 from shufflerl.errors import ConfigError, DataError, ShuffleRlError
 from shufflerl.metrics import compare_runs, metrics_report, write_aligned_curves_csv
 from shufflerl.nn import ArchSpec
-from shufflerl.ppo import AgentSpec, TrainResult, evaluate, make_env_config, train
+from shufflerl.ppo import UPDATE_STATS, AgentSpec, TrainResult, evaluate, make_env_config, train
 from shufflerl.runconfig import (
     RunConfig,
     SplitSpec,
@@ -121,20 +122,50 @@ def _read_curve(path: Path) -> list[tuple[str, int, int, int, float]]:
     ]
 
 
-def _run_is_cached(run_dir: Path, metadata: dict, arch: ArchSpec) -> bool:
+def _read_stats(path: Path, updates: int) -> list[dict]:
+    """A run's ``stats.jsonl`` as ``_train_one`` wrote it: ``updates`` lines,
+    each a JSON object of the keys ``ppo.update`` returns, each a finite
+    float. Every failure is a ``DataError`` naming the file and, for a line,
+    its number."""
+    source = str(path)
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise DataError(f"cannot open file: {exc.strerror}", source=source) from None
+    except UnicodeDecodeError:
+        raise DataError("not a UTF-8 file", source=source) from None
+    stats = []
+    for line, text in enumerate(lines, start=1):
+        try:
+            row = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"not JSON: {exc.msg}", source=source, line=line) from None
+        if not isinstance(row, dict) or sorted(row) != sorted(UPDATE_STATS):
+            raise DataError(f"expected an object with the keys {', '.join(UPDATE_STATS)}", source=source, line=line)
+        bad = [key for key in UPDATE_STATS if type(row[key]) is not float or not math.isfinite(row[key])]
+        if bad:
+            raise DataError(f"non-finite or non-float value {row[bad[0]]!r} of {bad[0]!r}", source=source, line=line)
+        stats.append(row)
+    if len(stats) != updates:
+        raise DataError(f"{len(stats)} lines, expected {updates}", source=source)
+    return stats
+
+
+def _run_is_cached(run_dir: Path, metadata: dict, arch: ArchSpec, updates: int) -> bool:
     """A run is reused only if ``load_checkpoint`` accepts its checkpoint,
     its curve reads back through ``_read_curve`` with at least one point,
+    its ``stats.jsonl`` through ``_read_stats`` with one line per update,
     and the checkpoint records the architecture, metadata and source hash
     this run would write. The hash covers ``__init__.py``, so a version bump
     also retrains."""
     try:
         net, manifest = load_checkpoint(run_dir / "checkpoint")
         curve = _read_curve(run_dir / "curve.csv")
+        _read_stats(run_dir / "stats.jsonl", updates)
     except ShuffleRlError:
         return False
     return (
         len(curve) > 0
-        and (run_dir / "stats.jsonl").exists()
         and net.arch == arch
         and manifest.get("source_hash") == source_hash()
         and manifest["metadata"] == json.loads(json.dumps(metadata))  # as stored
@@ -189,11 +220,12 @@ def _execute_runs(
 ) -> list[dict]:
     runs = []
     jobs = []
+    updates = config.ppo.total_timesteps // config.ppo.rollout_length
     for agent in config.agents:
         for seed in config.seeds:
             run_dir = out_dir / "runs" / f"{agent.kind}-seed{seed}"
             metadata = _checkpoint_metadata(config, agent, seed, fingerprint)
-            cached = reuse_cached and _run_is_cached(run_dir, metadata, agent.resolve_arch())
+            cached = reuse_cached and _run_is_cached(run_dir, metadata, agent.resolve_arch(), updates)
             runs.append(
                 {
                     "agent": agent.kind,

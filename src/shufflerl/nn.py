@@ -22,13 +22,16 @@ Conventions that silently diverge between implementations, pinned here:
 valid (no-padding) cross-correlation with ``out = floor((in - k)/stride) + 1``;
 batch norm has one mode, which normalizes with fixed statistics, and
 ``refresh_batch_norm`` sets those to the biased (divide by n) mean and
-variance of each batch-norm layer's input over a set of windows.
+variance of each batch-norm layer's input over a set of windows, given as a
+stack of rows and the row each window starts at, so that a row that several
+windows share is computed once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -338,41 +341,110 @@ class Sequential:
         return grads
 
 
-# refresh_batch_norm pushes at most this many windows through the chain at a time.
-_REFRESH_CHUNK = 16
+def _row_steps(layers) -> list[int]:
+    """The day step between consecutive input rows of each layer: 1 for a
+    window's own rows, times the row stride of every Conv2d before it. A
+    Conv2d's output row of day d reads its input rows of days d, d + step,
+    ..., d + (kh - 1) * step, and a window that starts on day t holds a
+    layer's input rows of days t, t + step, t + 2 * step, ..."""
+    steps, step = [], 1
+    for layer in layers:
+        steps.append(step)
+        if isinstance(layer, Conv2d):
+            step *= layer.stride[0]
+    return steps
 
 
-def refresh_batch_norm(chain: Sequential, inputs, count: int) -> None:
+# A row stack goes through a layer this many rows at a time.
+_ROW_CHUNK = 32
+
+
+def _conv_rows(conv: Conv2d, x: np.ndarray, step: int) -> np.ndarray:
+    """``conv``'s output row of every day whose input rows the (days, C, W)
+    row stack ``x`` holds, when the row of day d reads x's rows d, d + step,
+    ..., d + (kh - 1) * step.
+
+    Each phase of the step (x's rows j::step) is one convolution with row
+    stride 1 and ``conv``'s own weights and column stride, run on
+    ``_ROW_CHUNK`` output rows at a time, so every output row is computed
+    once, however many windows read it.
+    """
+    out_ch, _, kh, kw = conv.weight.shape
+    sw = conv.stride[1]
+    days = len(x) - (kh - 1) * step
+    y = np.empty((days, out_ch, conv_output_size(x.shape[2], kw, sw)), conv.weight.dtype)
+    unit = Conv2d(conv.name, conv.weight, conv.bias, (1, sw))
+    for j in range(min(step, days)):
+        for start in range(j, days, step * _ROW_CHUNK):
+            end = min(start + step * _ROW_CHUNK, days)
+            rows = x[start : end + (kh - 1) * step : step].transpose(1, 0, 2)[None]
+            y[start:end:step] = unit.forward(rows)[0][0].transpose(1, 0, 2)
+    return y
+
+
+def refresh_batch_norm(chain: Sequential, rows: np.ndarray, starts, height: int) -> None:
     """Set each ``BatchNorm2d`` of ``chain`` to the biased mean and variance
-    of its input over ``inputs(slice(0, count))``, the batch of chain inputs.
+    of its input over a batch of windows: the ``height``-row windows that
+    start at the indices ``starts`` of the (days, C, W) row stack ``rows``.
 
     Stage by stage: a layer's input is computed with the statistics just
-    set for the layers before it. Each pass feeds ``inputs`` ``_REFRESH_CHUNK``
-    items at a time, and the per-channel moments of each chunk are
-    accumulated in float64 and combined as Chan, Golub and LeVeque
-    ("Updating Formulae and a Pairwise Algorithm for Computing Sample
-    Variances", 1979) do, which stays accurate when the mean is far larger
-    than the spread. No array of every item's activations is made.
+    set for the layers before it. Windows whose rows overlap form a run,
+    such as a rollout's windows between two env resets, and each layer's
+    rows are computed once per run, over the run's days (``_conv_rows``),
+    not once per window that reads them. A day's row then counts once for
+    every window that reads it; a day no window reads counts for nothing,
+    and rows that would span two runs are never computed. The per-channel
+    moments of each ``_ROW_CHUNK`` rows are accumulated in float64 and
+    combined as Chan, Golub and LeVeque ("Updating Formulae and a Pairwise
+    Algorithm for Computing Sample Variances", 1979) do, which stays
+    accurate when the mean is far larger than the spread. No array of every
+    window's activations is made; every run's rows of one layer are held
+    at a time, except those of the last batch norm's input, one run's at a
+    time.
     """
-    for i, norm in enumerate(chain.layers):
-        if not isinstance(norm, BatchNorm2d):
+    layers = chain.layers
+    last = max((i for i, layer in enumerate(layers) if isinstance(layer, BatchNorm2d)), default=-1)
+    if last < 0:
+        return
+    starts = np.sort(np.asarray(starts, dtype=np.int64))
+    if len(starts) == 0 or starts[0] < 0 or starts[-1] + height > len(rows):
+        raise ShuffleRlError(f"window starts must lie in [0, {len(rows) - height}], got {starts}")
+    if not isinstance(layers[0], Conv2d):
+        rows = rows.copy()  # a layer before the first Conv2d works in place
+    runs = np.split(starts, np.flatnonzero(np.diff(starts) >= height) + 1)
+    stacks = [rows[run[0] : run[-1] + height] for run in runs]
+    offsets = [run - run[0] for run in runs]
+    for i, (layer, step) in enumerate(zip(layers[: last + 1], _row_steps(layers))):
+        if isinstance(layer, Conv2d):
+            stacks = map(partial(_conv_rows, layer, step=step), stacks)
+            if i + 1 < last:  # held for later layers; the last batch norm's input is made run by run
+                stacks = list(stacks)
+            height = conv_output_size(height, layer.weight.shape[2], layer.stride[0])
             continue
-        n, mean, m2 = 0, 0.0, 0.0
-        for start in range(0, count, _REFRESH_CHUNK):
-            x = inputs(slice(start, min(start + _REFRESH_CHUNK, count)))
-            for layer in chain.layers[:i]:
-                x, _ = layer.forward(x)
-            x = x.astype(np.float64)
-            k = x.size // x.shape[1]
-            chunk_mean = _channel_sum(x) / k
-            x -= chunk_mean.reshape(1, -1, 1, 1)
-            chunk_m2 = _channel_sum(np.square(x, out=x))
-            delta = chunk_mean - mean
-            n += k
-            mean = mean + delta * (k / n)
-            m2 = m2 + chunk_m2 + delta**2 * (k * (n - k) / n)
-        norm.running_mean[...] = mean
-        norm.running_var[...] = m2 / n
+        if isinstance(layer, BatchNorm2d):
+            n, mean, m2 = 0, 0.0, 0.0
+            for x, run in zip(stacks, offsets):
+                counts = np.bincount((run[:, None] + step * np.arange(height)).ravel(), minlength=len(x))
+                read = np.flatnonzero(counts)
+                for start in range(0, len(read), _ROW_CHUNK):
+                    chunk = read[start : start + _ROW_CHUNK]
+                    weights = counts[chunk]
+                    part = x[chunk].astype(np.float64, copy=False)
+                    k = int(weights.sum()) * part.shape[2]
+                    chunk_mean = weights @ part.sum(axis=2) / k
+                    part -= chunk_mean[:, None]
+                    chunk_m2 = weights @ np.square(part, out=part).sum(axis=2)
+                    delta = chunk_mean - mean
+                    n += k
+                    mean = mean + delta * (k / n)
+                    m2 = m2 + chunk_m2 + delta**2 * (k * (n - k) / n)
+            layer.running_mean[...] = mean
+            layer.running_var[...] = m2 / n
+        if i < last:  # a BatchNorm2d or ReLU, which maps each row alone, in place
+            for x in stacks:
+                for start in range(0, len(x), _ROW_CHUNK):
+                    part = x[start : start + _ROW_CHUNK]
+                    part[...] = layer.forward(part.transpose(1, 0, 2)[None])[0][0].transpose(1, 0, 2)
 
 
 @dataclass(frozen=True)
@@ -578,10 +650,17 @@ class ActorCritic:
             return obs[:, None, :, :]  # add the single input channel
         return obs
 
-    def refresh_batch_norm(self, observations, count: int) -> None:
+    def refresh_batch_norm(self, rows, starts) -> None:
         """``refresh_batch_norm`` of the extractor over the observations
-        ``observations(slice(0, count))``; an MLP has nothing to refresh."""
-        refresh_batch_norm(self.extractor, lambda s: self._as_batch(observations(s)), count)
+        that start at the indices ``starts`` of the row stack ``rows``, one
+        row per day (``RolloutBuffer.rows`` and ``starts``, or one window
+        and ``[0]``). An MLP has nothing to refresh and reads no row."""
+        if self.arch.kind != "cnn":
+            return
+        rows = np.asarray(rows, dtype=self.dtype)
+        if rows.shape[1:] != self.obs_shape[1:]:
+            raise ShuffleRlError(f"expected rows of shape {self.obs_shape[1:]}, got {rows.shape[1:]}")
+        refresh_batch_norm(self.extractor, rows[:, None], starts, self.obs_shape[0])
 
     def forward(self, obs: np.ndarray):
         """Batched forward; returns (means, values, cache)."""
@@ -652,13 +731,13 @@ class WindowStream:
         self._tail = layers[flat:]
         # Per stage: its layers and the day offsets, back from its newest
         # input row, of the input rows that its newest row reads.
-        self._stages = []
-        step, span = 1, 1
-        for i in range(0, flat, 3):
-            kh = layers[i].weight.shape[2]
-            self._stages.append((layers[i : i + 3], step * np.arange(kh - 1, -1, -1)))
-            span += (kh - 1) * step
-            step *= layers[i].stride[0]
+        steps = _row_steps(layers[: flat + 1])
+        self._stages = [
+            (layers[i : i + 3], steps[i] * np.arange(layers[i].weight.shape[2] - 1, -1, -1))
+            for i in range(0, flat, 3)
+        ]
+        span = 1 + sum(back[0] for _, back in self._stages)
+        step = steps[flat]
         height = net.obs_shape[0]
         # A ring holds the rows that the next stage's row reads; the last,
         # its rows of every start day in the window.

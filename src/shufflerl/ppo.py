@@ -137,6 +137,11 @@ class RolloutBuffer:
         """The stored observation rows, oldest first."""
         return self._rows[: self._row_count]
 
+    @property
+    def starts(self) -> np.ndarray:
+        """The index in ``rows`` of each stored step's first observation row."""
+        return self._starts[: self.pos]
+
     def observations(self, idx) -> np.ndarray:
         """The float32 observations of the steps ``idx`` (an index array, a
         slice or one index), gathered from the row stack."""
@@ -249,6 +254,10 @@ class LossDiagnostics:
     entropy: float
     clip_fraction: float
     approx_kl: float
+
+
+# The keys of each dict ``update`` returns, one per PPO iteration.
+UPDATE_STATS = (*(f.name for f in fields(LossDiagnostics)), "grad_norm", "explained_variance")
 
 
 def ppo_loss_and_grads(
@@ -481,7 +490,7 @@ def train_on_env(
 
     stream = WindowStream(net)
     obs = _obs_array(env.reset())
-    net.refresh_batch_norm(lambda _: obs[None], 1)
+    net.refresh_batch_norm(obs, [0])
     episode_reward = 0.0
     episode_index = 0
     for _ in range(n_updates):
@@ -507,7 +516,7 @@ def train_on_env(
             bootstrap = float(stream.forward(obs[None, ...])[1][0])
         buffer.finalize(bootstrap, config.gamma, config.gae_lambda)
         result.update_stats.append(update(net, optimizer, buffer, config, rng))
-        net.refresh_batch_norm(buffer.observations, buffer.length)
+        net.refresh_batch_norm(buffer.rows, buffer.starts)
     return result
 
 

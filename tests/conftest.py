@@ -37,6 +37,15 @@ def invert_permutation(spec: PermutationSpec) -> PermutationSpec:
     return PermutationSpec(inverse)
 
 
+def row_stack(windows):
+    """``(rows, starts)`` of a batch of windows, each its own run, as
+    ``refresh_batch_norm`` takes them: (B, H, W) windows give (B*H, W) rows,
+    (B, C, H, W) ones (B*H, C, W) rows, and window i starts at row i*H."""
+    windows = np.asarray(windows)
+    rows = np.moveaxis(windows, -2, 1).reshape(-1, *windows.shape[1:-2], windows.shape[-1])
+    return rows, windows.shape[-2] * np.arange(len(windows))
+
+
 def defined_mask(series: np.ndarray) -> np.ndarray:
     """Days whose turbulence is defined (past the lookback)."""
     return np.isfinite(series)

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import SignBandit, invert_permutation, make_dataset, optimal_action_probability
+from conftest import SignBandit, invert_permutation, make_dataset, optimal_action_probability, row_stack
 from ledger_oracle import oracle_episode
 from shufflerl.cli import main as cli_main
 from shufflerl.data import generate_synthetic_market
@@ -251,7 +251,7 @@ def test_criterion_5_gradient_checks():
 def test_criterion_6_batchnorm_statistics():
     layer = BatchNorm2d("bn", np.ones(4), np.zeros(4))
     x = np.random.default_rng(6).standard_normal((8, 4, 6, 6)) * 2.5 + 1.7
-    refresh_batch_norm(Sequential([layer]), x.__getitem__, len(x))
+    refresh_batch_norm(Sequential([layer]), *row_stack(x), 6)
     out, _ = layer.forward(x)
     mean = out.mean(axis=(0, 2, 3))
     var = out.var(axis=(0, 2, 3))

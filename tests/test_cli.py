@@ -21,7 +21,7 @@ from shufflerl.env import EnvConfig
 from shufflerl.errors import ConfigError, DataError, ShuffleRlError
 from shufflerl.metrics import compare_runs
 from shufflerl.nn import ActorCritic
-from shufflerl.ppo import AGENT_KINDS, PpoConfig, evaluate, train
+from shufflerl.ppo import AGENT_KINDS, UPDATE_STATS, PpoConfig, evaluate, train
 from shufflerl.runconfig import parse_run_config, resolve_split
 
 
@@ -933,6 +933,52 @@ class TestCliCompare:
         with pytest.raises(DataError, match=message) as excinfo:
             cli._read_curve(curve)
         assert (excinfo.value.source, excinfo.value.line) == (str(curve), line)
+
+    @pytest.mark.parametrize("fault", ["malformed line", "missing line"])
+    def test_unreadable_stats_retrains(self, tmp_path, archive, capsys, fault):
+        path = self._two_agents(tmp_path, archive, 32)
+        assert main(["compare", "--config", str(path)]) == 0
+        stats = tmp_path / "cmp" / "runs" / "cnn-seed0" / "stats.jsonl"
+        original = stats.read_bytes()
+        lines = original.splitlines(keepends=True)
+        assert len(lines) == 2  # one per update
+        if fault == "malformed line":
+            lines[1] = b"{not json\n"
+        else:
+            del lines[1]
+        stats.write_bytes(b"".join(lines))
+        capsys.readouterr()
+        assert main(["compare", "--config", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert "reused 1 cached run(s)" in out and err == ""
+        runs = json.loads((tmp_path / "cmp" / "manifest.json").read_text())["runs"]
+        assert {run["agent"]: run["reused"] for run in runs} == {"mlp": True, "cnn": False}
+        assert stats.read_bytes() == original
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("{not json", 2, "not JSON"),
+        ('{"loss": 1.0}', 2, "expected an object with the keys loss, policy_loss"),
+        ("[1.0]", 2, "expected an object with the keys"),
+        ("NaN", 2, "expected an object"),
+        (None, None, "1 lines, expected 2"),
+    ], ids=["not-json", "missing-keys", "not-an-object", "not-an-object-nan", "missing-line"])
+    def test_read_stats_names_file_and_line(self, tmp_path, text, line, message):
+        row = dict.fromkeys(UPDATE_STATS, 0.5)
+        path = tmp_path / "stats.jsonl"
+        path.write_text(json.dumps(row) + "\n" + json.dumps({**row, "loss": -1.0}) + "\n")
+        assert cli._read_stats(path, 2) == [row, {**row, "loss": -1.0}]
+        path.write_text(json.dumps(row) + "\n" + ("" if text is None else text + "\n"))
+        with pytest.raises(DataError, match=message) as excinfo:
+            cli._read_stats(path, 2)
+        assert (excinfo.value.source, excinfo.value.line) == (str(path), line)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", '"0.5"', "1", "true", "null"])
+    def test_read_stats_takes_only_finite_floats(self, tmp_path, value):
+        path = tmp_path / "stats.jsonl"
+        path.write_text(json.dumps(dict.fromkeys(UPDATE_STATS, 0.5)).replace("0.5", value, 1) + "\n")
+        with pytest.raises(DataError, match="non-finite or non-float value") as excinfo:
+            cli._read_stats(path, 1)
+        assert excinfo.value.line == 1
 
     @pytest.mark.parametrize("command", ["train", "compare"])
     def test_failed_rerun_leaves_no_record(self, tmp_path, archive, monkeypatch, capsys, command):

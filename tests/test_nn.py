@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from conftest import row_stack
 from shufflerl import nn
 from shufflerl.checkpoint import load_checkpoint, save_checkpoint
 from shufflerl.errors import ConfigError, NonFiniteError, ShuffleRlError
@@ -245,7 +246,7 @@ class TestBatchNorm:
     def test_constant_input_maps_to_shift(self):
         layer = BatchNorm2d("bn", np.ones(2), np.array([0.0, 1.5]))
         x = np.full((3, 2, 4, 4), 7.0)
-        nn.refresh_batch_norm(nn.Sequential([layer]), x.__getitem__, len(x))
+        nn.refresh_batch_norm(nn.Sequential([layer]), *row_stack(x), 4)
         out, _ = layer.forward(x)
         np.testing.assert_array_equal(out, np.broadcast_to(np.array([0.0, 1.5])[:, None, None], out.shape))
 
@@ -301,36 +302,58 @@ def test_batchnorm_matches_reference_formulas(x_shape):
     assert_close(grads["bn.beta"], dout.sum(axis=(0, 2, 3)))
 
 
-# A float64 network of three conv stages for the refresh tests.
+# Float64 networks for the refresh tests: three conv stages, a kernel
+# shorter than its row stride, and a kernel that is not a multiple of it.
 REFRESH_ARCH = ArchSpec(kind="cnn", conv_channels=(2, 3, 2), conv_kernels=((3, 3), (2, 2), (2, 2)),
                         conv_strides=((1, 2), (2, 1), (1, 1)), embed_dim=6)
+REFRESH_ARCHS = [
+    pytest.param(REFRESH_ARCH, id="three-stages"),
+    pytest.param(ArchSpec(kind="cnn", conv_channels=(2, 3), conv_kernels=((2, 3), (1, 2)),
+                          conv_strides=((3, 2), (2, 1)), embed_dim=6), id="kernel-shorter-than-stride"),
+    pytest.param(ArchSpec(kind="cnn", conv_channels=(2, 3), conv_kernels=((5, 3), (3, 2)),
+                          conv_strides=((2, 1), (2, 1)), embed_dim=6), id="kernel-not-a-multiple-of-stride"),
+]
+
+
+def sliding_runs(rng, count, runs, height, width):
+    """A row stack of ``count`` windows of ``height`` rows in ``runs`` runs of
+    sliding windows, as a rollout buffer stores them, with run r scaled by
+    1e3**r, and the row each window starts at."""
+    rows, starts = [], []
+    for r, run in enumerate(np.array_split(np.arange(count), runs)):
+        if len(run):
+            starts.extend(sum(map(len, rows)) + np.arange(len(run)))
+            rows.append((rng.standard_normal((len(run) + height - 1, width)) + 1.0) * 1e3**r)
+    return np.concatenate(rows), np.array(starts)
 
 
 class TestRefreshBatchNorm:
-    @pytest.mark.parametrize("count", [1, 16, 17, 40])
-    @pytest.mark.parametrize("chunk", [1, 3, 16, 40])
-    def test_statistics_are_the_moments_of_each_input_over_all_windows(self, count, chunk, monkeypatch):
-        monkeypatch.setattr(nn, "_REFRESH_CHUNK", chunk)
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("count", [1, 17, 40])
+    @pytest.mark.parametrize("arch", REFRESH_ARCHS)
+    def test_statistics_are_the_moments_of_each_input_over_all_windows(self, arch, count, runs):
         rng = np.random.default_rng(33)
-        net = ActorCritic(REFRESH_ARCH, (14, 9), 2, seed=34)
-        windows = rng.standard_normal((count, 14, 9)) * 3.0 + 1.0
-        net.refresh_batch_norm(windows.__getitem__, count)
-        # Stage by stage: each batch-norm input follows the statistics just
-        # set for the layers before it.
-        x, checked = windows[:, None].copy(), 0
+        rows, starts = sliding_runs(rng, count, runs, 14, 9)
+        net = ActorCritic(arch, (14, 9), 2, seed=34)
+        net.refresh_batch_norm(rows, starts)
+        # Window by window and stage by stage: each batch-norm input follows
+        # the statistics just set for the layers before it. A row spanning
+        # two runs belongs to no window, and a run's scale is 1e3 times the
+        # one before, so counting one would move the moments far.
+        x, checked = np.stack([rows[start : start + 14] for start in starts])[:, None], 0
         for layer in net.extractor.layers:
             if isinstance(layer, BatchNorm2d):
-                np.testing.assert_allclose(layer.running_mean, x.mean(axis=(0, 2, 3)), rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(layer.running_mean, x.mean(axis=(0, 2, 3)), rtol=1e-12)
                 np.testing.assert_allclose(layer.running_var, x.var(axis=(0, 2, 3)), rtol=1e-12)
                 checked += 1
             x, _ = layer.forward(x)
-        assert checked == 3
+        assert checked == len(arch.conv_channels)
 
     def test_accurate_when_the_mean_is_a_thousand_times_the_spread(self):
         rng = np.random.default_rng(35)
         layer = BatchNorm2d("bn", np.ones(2, np.float32), np.zeros(2, np.float32))
         x = (rng.standard_normal((40, 2, 5, 7)) + np.array([1e3, -1e3])[:, None, None]).astype(np.float32)
-        nn.refresh_batch_norm(nn.Sequential([layer]), x.__getitem__, len(x))
+        nn.refresh_batch_norm(nn.Sequential([layer]), *row_stack(x), 5)
         exact = x.astype(np.float64)
         np.testing.assert_allclose(layer.running_mean, exact.mean(axis=(0, 2, 3)), rtol=1e-7)
         np.testing.assert_allclose(layer.running_var, exact.var(axis=(0, 2, 3)), rtol=1e-6)
@@ -338,10 +361,23 @@ class TestRefreshBatchNorm:
     def test_leaves_the_windows_and_an_mlp_as_they_were(self):
         windows = np.random.default_rng(36).standard_normal((5, 14, 9))
         before = windows.tobytes()
-        ActorCritic(REFRESH_ARCH, (14, 9), 2, seed=34).refresh_batch_norm(windows.__getitem__, len(windows))
+        ActorCritic(REFRESH_ARCH, (14, 9), 2, seed=34).refresh_batch_norm(*row_stack(windows))
         assert windows.tobytes() == before
+
+        class Unread:
+            def __array__(self, *args, **kwargs):
+                pytest.fail("an MLP reads no window")
+
+            __getitem__ = __len__ = __array__
+
         mlp = ActorCritic(ArchSpec(kind="mlp", mlp_hidden=(3,)), (14, 9), 2, seed=34)
-        mlp.refresh_batch_norm(lambda s: pytest.fail("an MLP reads no window"), len(windows))
+        mlp.refresh_batch_norm(Unread(), np.arange(len(windows)))
+
+    @pytest.mark.parametrize("starts", [[], [-1], [2]], ids=["none", "before-the-stack", "past-the-stack"])
+    def test_a_window_outside_the_stack_is_an_error(self, starts):
+        net = ActorCritic(REFRESH_ARCH, (14, 9), 2, seed=34)
+        with pytest.raises(ShuffleRlError, match="window starts"):
+            net.refresh_batch_norm(np.zeros((15, 9)), starts)
 
 
 class TestReluAndLinear:
@@ -848,7 +884,7 @@ class TestCheckpoint:
         net = ActorCritic(TOY_ARCH, (6, 8), 3, seed=5)
         # make the batch-norm statistics non-trivial
         windows = np.random.default_rng(1).standard_normal((4, 6, 8))
-        net.refresh_batch_norm(windows.__getitem__, len(windows))
+        net.refresh_batch_norm(*row_stack(windows))
         save_checkpoint(tmp_path / "ckpt", net, metadata={"note": "test"})
         loaded, manifest = load_checkpoint(tmp_path / "ckpt")
         assert manifest["metadata"]["note"] == "test"

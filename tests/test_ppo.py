@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import SignBandit, make_dataset, optimal_action_probability
+from conftest import SignBandit, make_dataset, optimal_action_probability, row_stack
 from shufflerl import ppo
 from shufflerl.data import generate_synthetic_market
 from shufflerl.env import EnvConfig, TradingEnv
@@ -358,7 +358,7 @@ def test_every_array_the_caller_passes_is_left_bit_identical(arch, dtype):
     ppo_loss_and_grads(net, obs, actions, old_log_probs, advantages, returns, PpoConfig())
     sample_action(WindowStream(net), obs[0], rng)
     WindowStream(net).forward(obs)
-    net.refresh_batch_norm(obs.__getitem__, len(obs))
+    net.refresh_batch_norm(*row_stack(obs))
     assert {name: array.tobytes() for name, array in passed.items()} == before
 
 
@@ -618,7 +618,7 @@ class TestOnPolicy:
         net = result.net
         trained = [tensor.tobytes() for _, tensor in net.named_buffers()]
         assert len(trained) == (0 if spec.kind == "mlp" else 4)
-        net.refresh_batch_norm(buffers[-1].observations, buffers[-1].length)
+        net.refresh_batch_norm(buffers[-1].rows, buffers[-1].starts)
         assert [tensor.tobytes() for _, tensor in net.named_buffers()] == trained
 
 
@@ -692,7 +692,7 @@ class TestFloat32Training:
         for (_, p64), (_, p32) in zip(net64.named_parameters(), net32.named_parameters()):
             p64[...] = p32
         for net in (net32, net64):
-            net.refresh_batch_norm(obs.__getitem__, len(obs))
+            net.refresh_batch_norm(*row_stack(obs))
         mu, values, _ = net64.forward(obs)
         log_std = net64.effective_log_std()
         actions = mu + np.exp(log_std) * rng.standard_normal(mu.shape)
