@@ -35,7 +35,7 @@ from shufflerl.env import EnvConfig
 from shufflerl.errors import ConfigError, DataError, ShuffleRlError
 from shufflerl.metrics import compare_runs, metrics_report, write_aligned_curves_csv
 from shufflerl.nn import ArchSpec
-from shufflerl.ppo import UPDATE_STATS, AgentSpec, TrainResult, evaluate, make_env_config, train
+from shufflerl.ppo import UPDATE_STATS, AgentSpec, PpoConfig, TrainResult, evaluate, make_env_config, train
 from shufflerl.runconfig import (
     RunConfig,
     SplitSpec,
@@ -296,9 +296,10 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     net, manifest = load_checkpoint(args.checkpoint)
     metadata = manifest["metadata"]
-    # The recorded agent, env and split are read as a run config's would be.
+    # The recorded agent, env, ppo and split are read as a run config's would be.
     agent = read_section("checkpoint agent", AgentSpec, {"kind": metadata.get("agent_kind")}, arch=net.arch)
     base_env = read_section("checkpoint env", EnvConfig, metadata.get("env"), permutation=None)
+    ppo = read_section("checkpoint ppo", PpoConfig, metadata.get("ppo"))
     split = metadata.get("split")
     if split is not None:
         split = read_section("checkpoint split", SplitSpec, split)
@@ -320,7 +321,7 @@ def cmd_evaluate(args) -> int:
     part = train_part if args.split == "train" else test_part
     env_config = make_env_config(base_env, agent, part.ticker_count)
 
-    report, env = evaluate(net, part, env_config)
+    report, env = evaluate(net, part, env_config, ppo.gamma)
     metrics = metrics_report(report.value_series, total_costs=report.total_costs)
     out_dir = Path(args.out) if args.out else Path(args.checkpoint).parent / f"eval-{args.split}"
     out_dir.mkdir(parents=True, exist_ok=True)

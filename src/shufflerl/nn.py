@@ -24,7 +24,9 @@ batch norm has one mode, which normalizes with fixed statistics, and
 ``refresh_batch_norm`` sets those to the biased (divide by n) mean and
 variance of each batch-norm layer's input over a set of windows, given as a
 stack of rows and the row each window starts at, so that a row that several
-windows share is computed once.
+windows share is computed once. Outside the update, the batch-norm refresh
+and ``WindowStream`` compute conv rows with one function, ``_conv_rows``,
+whose every GEMM is one output row wide, so both get a row's same bits.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from shufflerl.errors import NonFiniteError, ShuffleRlError
 
@@ -355,31 +357,26 @@ def _row_steps(layers) -> list[int]:
     return steps
 
 
-# A row stack goes through a layer this many rows at a time.
+# The float64 batch-norm moments are taken this many rows at a time.
 _ROW_CHUNK = 32
 
 
 def _conv_rows(conv: Conv2d, x: np.ndarray, step: int) -> np.ndarray:
-    """``conv``'s output row of every day whose input rows the (days, C, W)
-    row stack ``x`` holds, when the row of day d reads x's rows d, d + step,
-    ..., d + (kh - 1) * step.
+    """``conv``'s (days, C, W) output row of every day whose input rows the
+    (days, C, W) row stack ``x`` holds, when the row of day d reads x's rows
+    d, d + step, ..., d + (kh - 1) * step.
 
-    Each phase of the step (x's rows j::step) is one convolution with row
-    stride 1 and ``conv``'s own weights and column stride, run on
-    ``_ROW_CHUNK`` output rows at a time, so every output row is computed
-    once, however many windows read it.
+    Each day's kh input rows are one sample of height kh for ``conv``'s own
+    forward, so each output row is its own GEMM, one row wide, however many
+    days ``x`` holds: a row has the same bits whether it comes from a stack
+    of many days or of one. The samples are a strided view of ``x``, made
+    with ``as_strided`` because ``sliding_window_view`` costs about 10 us
+    more per call, which a streamed step pays once per stage.
     """
-    out_ch, _, kh, kw = conv.weight.shape
-    sw = conv.stride[1]
-    days = len(x) - (kh - 1) * step
-    y = np.empty((days, out_ch, conv_output_size(x.shape[2], kw, sw)), conv.weight.dtype)
-    unit = Conv2d(conv.name, conv.weight, conv.bias, (1, sw))
-    for j in range(min(step, days)):
-        for start in range(j, days, step * _ROW_CHUNK):
-            end = min(start + step * _ROW_CHUNK, days)
-            rows = x[start : end + (kh - 1) * step : step].transpose(1, 0, 2)[None]
-            y[start:end:step] = unit.forward(rows)[0][0].transpose(1, 0, 2)
-    return y
+    kh = conv.weight.shape[2]
+    (days, channels, width), (s0, s1, s2) = x.shape, x.strides
+    shape = (days - (kh - 1) * step, channels, kh, width)
+    return conv.forward(as_strided(x, shape, (s0, s1, step * s0, s2), writeable=False))[0][:, :, 0]
 
 
 def refresh_batch_norm(chain: Sequential, rows: np.ndarray, starts, height: int) -> None:
@@ -390,17 +387,18 @@ def refresh_batch_norm(chain: Sequential, rows: np.ndarray, starts, height: int)
     Stage by stage: a layer's input is computed with the statistics just
     set for the layers before it. Windows whose rows overlap form a run,
     such as a rollout's windows between two env resets, and each layer's
-    rows are computed once per run, over the run's days (``_conv_rows``),
-    not once per window that reads them. A day's row then counts once for
-    every window that reads it; a day no window reads counts for nothing,
-    and rows that would span two runs are never computed. The per-channel
-    moments of each ``_ROW_CHUNK`` rows are accumulated in float64 and
-    combined as Chan, Golub and LeVeque ("Updating Formulae and a Pairwise
-    Algorithm for Computing Sample Variances", 1979) do, which stays
-    accurate when the mean is far larger than the spread. No array of every
-    window's activations is made; every run's rows of one layer are held
-    at a time, except those of the last batch norm's input, one run's at a
-    time.
+    rows are computed once per run, over the run's days, not once per
+    window that reads them: each conv row by ``_conv_rows``, with the bits
+    ``WindowStream`` gives it, and each batch-norm and ReLU row as one batch
+    of the run's rows. A day's row then counts once for every window that
+    reads it; a day no window reads counts for nothing, and rows that would
+    span two runs are never computed. The per-channel moments of each
+    ``_ROW_CHUNK`` rows are accumulated in float64 and combined as Chan,
+    Golub and LeVeque ("Updating Formulae and a Pairwise Algorithm for
+    Computing Sample Variances", 1979) do, which stays accurate when the
+    mean is far larger than the spread. No array of every window's
+    activations is made; every run's rows of one layer are held at a time,
+    except those of the last batch norm's input, one run's at a time.
     """
     layers = chain.layers
     last = max((i for i, layer in enumerate(layers) if isinstance(layer, BatchNorm2d)), default=-1)
@@ -440,11 +438,9 @@ def refresh_batch_norm(chain: Sequential, rows: np.ndarray, starts, height: int)
                     m2 = m2 + chunk_m2 + delta**2 * (k * (n - k) / n)
             layer.running_mean[...] = mean
             layer.running_var[...] = m2 / n
-        if i < last:  # a BatchNorm2d or ReLU, which maps each row alone, in place
+        if i < last:  # a BatchNorm2d or ReLU, which maps each run's rows as a batch, in place
             for x in stacks:
-                for start in range(0, len(x), _ROW_CHUNK):
-                    part = x[start : start + _ROW_CHUNK]
-                    part[...] = layer.forward(part.transpose(1, 0, 2)[None])[0][0].transpose(1, 0, 2)
+                x[...] = layer.forward(x[:, :, None])[0][:, :, 0]
 
 
 @dataclass(frozen=True)
@@ -707,15 +703,15 @@ class WindowStream:
     stage maps a few nearby rows to one output row: the stage's row of day d
     reads its input rows of days d, d + s, ..., d + (kh - 1) * s, where s is
     the product of the earlier stages' row strides. Each stage keeps a ring
-    of the rows still needed (the last stage its rows of every start day in
+    of the rows still needed: the last stage its rows of every start day in
     the window, every other stage the rows that the next stage's newest row
-    reads), and a window row is pushed through each stage whose input then
-    holds the rows of its next row, by the stage's own layers on a
-    (1, C, kh, W) slice: every layer call is one row. An observation that equals
-    the one before it slid up by one row, bit for bit, feeds only its newest
-    row, unless the stages' parameters or batch-norm statistics changed
-    since the rings were filled. Any other observation (the first, the one
-    after an env reset) refills the rings with its rows, one at a time.
+    reads. Every stage row comes from ``_conv_rows``, so every GEMM is one
+    row wide. An observation that equals the one before it slid up by one
+    row, bit for bit, computes one new row per stage, from the rows of the
+    ring before it, unless the stages' parameters or batch-norm statistics
+    changed since the rings were filled. Any other observation (the first,
+    the one after an env reset) refills the rings: each stage computes its
+    rows of the whole window in one call per layer.
 
     Every row is the function of its inputs that ``net.forward`` computes;
     only the width of its GEMM differs (one row instead of the window's), so
@@ -729,46 +725,34 @@ class WindowStream:
         layers = net.extractor.layers
         flat = next(i for i, layer in enumerate(layers) if isinstance(layer, Flatten))
         self._tail = layers[flat:]
-        # Per stage: its layers and the day offsets, back from its newest
-        # input row, of the input rows that its newest row reads.
+        # Per stage: its layers, the day step between the input rows one of
+        # its rows reads, and the span of those rows, (kh - 1) * step + 1.
         steps = _row_steps(layers[: flat + 1])
         self._stages = [
-            (layers[i : i + 3], steps[i] * np.arange(layers[i].weight.shape[2] - 1, -1, -1))
-            for i in range(0, flat, 3)
+            (layers[i : i + 3], steps[i], (layers[i].weight.shape[2] - 1) * steps[i] + 1) for i in range(0, flat, 3)
         ]
-        span = 1 + sum(back[0] for _, back in self._stages)
-        step = steps[flat]
-        height = net.obs_shape[0]
-        # A ring holds the rows that the next stage's row reads; the last,
-        # its rows of every start day in the window.
-        lengths = [back[0] + 1 for _, back in self._stages[1:]] + [height - span + 1]
-        shapes = cnn_feature_shapes(net.arch, net.obs_shape) if self._stages else []
-        self._rings = [np.empty((n, ch, w), net.dtype) for n, (ch, _, w) in zip(lengths, shapes)]
-        self._counts = [0] * len(self._rings)
-        # Day offsets, in the last ring, of the rows the window's features hold.
-        self._reads = step * np.arange((height - span) // step + 1)
+        # The day step between the last stage's rows that a window's features hold.
+        self._step = steps[flat]
+        # Each ring's rows, and how many rows have replaced its oldest since the refill.
+        self._rings: list[np.ndarray] = []
+        self._heads: list[int] = []
         self._window: np.ndarray | None = None
         self._state = b""
         self.rebuilds = 0
 
     def _stage_state(self) -> bytes:
         """The bits of the conv stages' parameters and batch-norm statistics."""
-        layers = [layer for stage, _ in self._stages for layer in stage]
+        layers = [layer for stage, _, _ in self._stages for layer in stage]
         return b"".join(t.tobytes() for layer in layers for _, t in (*layer.params(), *layer.buffers()))
 
-    def _feed(self, window: np.ndarray, day: int):
-        """Push window row ``day`` through each stage whose input then holds
-        the rows of its next row."""
-        rows, count = window[:, None], day + 1  # (days, channels, width)
-        for k, ((layers, back), ring) in enumerate(zip(self._stages, self._rings)):
-            if count <= back[0]:
-                return
-            x = rows[(count - 1 - back) % len(rows)].transpose(1, 0, 2)[None]
-            for layer in layers:
-                x, _ = layer.forward(x)
-            ring[self._counts[k] % len(ring)] = x[0, :, 0]
-            self._counts[k] += 1
-            rows, count = ring, self._counts[k]
+    @staticmethod
+    def _rows(stage, x: np.ndarray, step: int) -> np.ndarray:
+        """A stage's (days, C, W) rows of every day whose input rows ``x`` holds."""
+        conv, *maps = stage
+        x = _conv_rows(conv, x, step)
+        for layer in maps:
+            x = layer.forward(x[:, :, None])[0][:, :, 0]
+        return x
 
     def _features(self, window: np.ndarray) -> np.ndarray:
         """The last conv stage's (1, C, oh, ow) output for one (H, W) window."""
@@ -776,17 +760,28 @@ class WindowStream:
         # forward that raises (a NaN, say) leaves the next to refill.
         previous, self._window = self._window, None
         state = self._stage_state()
+        rows, head = window[:, None], 0  # (days, channels, width)
         if previous is not None and slid_by_one_row(window, previous) and state == self._state:
-            self._feed(window, len(window) - 1)
+            for k, (stage, step, span) in enumerate(self._stages):
+                # The newest row reads the last span rows before it, oldest first.
+                x = rows.take(head + np.arange(len(rows) - span, len(rows)), axis=0, mode="wrap")
+                rows, head = self._rings[k], self._heads[k]
+                rows[head % len(rows)] = self._rows(stage, x, step)[0]
+                self._heads[k] = head = head + 1
         else:
             self.rebuilds += 1
-            self._counts = [0] * len(self._rings)
-            for day in range(len(window)):
-                self._feed(window, day)
+            self._rings = []
+            for k, (stage, step, _) in enumerate(self._stages):
+                rows = self._rows(stage, rows, step)
+                # The rows that the next stage's newest row reads; the last stage's all.
+                keep = self._stages[k + 1][2] if k + 1 < len(self._stages) else len(rows)
+                self._rings.append(rows[len(rows) - keep :].copy())
+            self._heads = [0] * len(self._rings)
             self._state = state
         self._window = window.copy()
         last = self._rings[-1]
-        return last[(self._counts[-1] + self._reads) % len(last)].transpose(1, 0, 2)[None]
+        reads = self._heads[-1] + np.arange(0, len(last), self._step)
+        return last.take(reads, axis=0, mode="wrap").transpose(1, 0, 2)[None]
 
     def forward(self, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(means, values) of a batch of observations, streamed in order."""

@@ -586,8 +586,9 @@ class TestCliTrain:
 
 
 class TestCliEvaluate:
-    def _train(self, tmp_path, archive, split=None):
+    def _train(self, tmp_path, archive, split=None, **ppo):
         cfg = base_config(archive, out=tmp_path / "run", agent=MLP_AGENT)
+        cfg["ppo"].update(ppo)
         if split:
             cfg["split"] = split
         cfg_path = tmp_path / "cfg.json"
@@ -606,6 +607,23 @@ class TestCliEvaluate:
         assert (tmp_path / "eval" / "metrics.json").exists()
         trace = (tmp_path / "eval" / "trace.csv").read_text().splitlines()
         assert trace[0].startswith("day,balance,portfolio_value,reward,costs,turbulence")
+
+    def test_discounted_return_uses_the_trained_gamma(self, tmp_path, archive, capsys):
+        ckpt = self._train(tmp_path, archive, gamma=0.5)
+        net, manifest = load_checkpoint(ckpt)
+        net.policy_head.bias[...] = 0.5  # buys, so that the rewards are not all zero
+        save_checkpoint(ckpt, net, manifest["metadata"])
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--dataset", str(archive),
+                     "--split", "train", "--out", str(tmp_path / "eval")]) == 0
+        payload = json.loads(capsys.readouterr().out.split("report written")[0])
+        with open(tmp_path / "eval" / "trace.csv", newline="") as handle:
+            rewards = [float(row["reward"]) for row in csv.DictReader(handle)][1:]
+
+        def discounted(gamma):
+            return sum(gamma**d * reward for d, reward in enumerate(rewards))
+        assert payload["discounted_return"] == pytest.approx(discounted(0.5), rel=1e-12, abs=0)
+        assert discounted(0.5) != pytest.approx(discounted(0.99), rel=1e-3)
 
     def test_evaluate_test_split_requires_boundary(self, tmp_path, archive, capsys):
         ckpt = self._train(tmp_path, archive)

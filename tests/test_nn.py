@@ -327,6 +327,33 @@ def sliding_runs(rng, count, runs, height, width):
     return np.concatenate(rows), np.array(starts)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "arch, obs_shape", [pytest.param(ArchSpec(kind="cnn"), (90, 511), id="paper"),
+                        *[pytest.param(*case.values, (14, 9), id=case.id) for case in REFRESH_ARCHS]]
+)
+def test_conv_rows_are_one_sample_forwards_bitwise(arch, obs_shape, dtype):
+    """Row d of ``_conv_rows`` has the bits of ``conv.forward`` on day d's
+    own (1, C, kh, W) input, the row a stream computes, however many days
+    the stack holds. At paper shape the float32 ``conv1`` input is one on
+    which a GEMM 32 rows wide rounds a row differently."""
+    net = ActorCritic(arch, obs_shape, 2, seed=37, dtype=dtype)
+    rng = np.random.default_rng(0)
+    width = obs_shape[1]
+    layers = net.extractor.layers
+    for conv, step in zip(layers, nn._row_steps(layers)):
+        if not isinstance(conv, Conv2d):
+            continue
+        _, in_ch, kh, kw = conv.weight.shape
+        x = (rng.standard_normal((299, in_ch, width)) * 30 + 50).astype(dtype)
+        rows = nn._conv_rows(conv, x, step)
+        assert len(rows) == len(x) - (kh - 1) * step
+        for d, row in enumerate(rows):
+            one = conv.forward(x[d : d + (kh - 1) * step + 1 : step].transpose(1, 0, 2)[None])[0]
+            assert row.tobytes() == one[0, :, 0].tobytes(), f"{conv.name} day {d}"
+        width = conv_output_size(width, kw, conv.stride[1])
+
+
 class TestRefreshBatchNorm:
     @pytest.mark.parametrize("runs", [1, 3])
     @pytest.mark.parametrize("count", [1, 17, 40])
@@ -749,35 +776,35 @@ class TestWindowStream:
             assert mu.tobytes() == mu_ref.tobytes() and value.tobytes() == value_ref.tobytes()
 
     @pytest.mark.parametrize("arch, tickers, window", SMALL_STREAM_ARCHS)
-    def test_every_stage_layer_call_is_one_row(self, arch, tickers, window, monkeypatch):
+    def test_every_stage_gemm_is_one_row_wide(self, arch, tickers, window, monkeypatch):
         windows = episode_windows("cnn", tickers, days=window + 3, window=window, episodes=1)
         net = eval_net(arch, windows[0].shape, tickers, np.float64)
-        batches = []
+        calls = []
         for layer in net.extractor.layers:
             if isinstance(layer, Flatten):
                 break
 
-            def spy(x, forward=layer.forward):
-                batches.append(len(x))
+            def spy(x, name=layer.name, forward=layer.forward):
+                calls.append((name, len(x), x.shape[2]))
                 return forward(x)
             monkeypatch.setattr(layer, "forward", spy)
         stream = WindowStream(net)
-        calls = []
+        per_window = []
         for window in [*windows, windows[0]]:  # the last one does not slide
-            batches.clear()
+            calls.clear()
             stream.forward(window[None])
-            calls.append(list(batches))
+            per_window.append(list(calls))
         assert stream.rebuilds == 2
-        assert {batch for call in calls for batch in call} == {1}
-        # A refill computes each stage's row of every start day once, a
-        # slide one row per stage; each row is three layer calls.
-        start_days, span, step = 0, 1, 1
-        for (kh, _), (sh, _) in zip(arch.conv_kernels, arch.conv_strides):
-            span += (kh - 1) * step
+        # Every conv sample is kh input rows high, so its output is one row
+        # and its GEMM one row wide. A refill calls each stage layer once, on
+        # the stage's rows of every start day; a slide once, on one row.
+        refill, slide, days, step = [], [], len(windows[0]), 1
+        for li, ((kh, _), (sh, _)) in enumerate(zip(arch.conv_kernels, arch.conv_strides), start=1):
+            days -= (kh - 1) * step
             step *= sh
-            start_days += len(windows[0]) - span + 1
-        stages = len(arch.conv_kernels)
-        assert [len(call) for call in calls] == [3 * start_days, *[3 * stages] * (len(windows) - 1), 3 * start_days]
+            refill += [(f"conv{li}", days, kh), (f"bn{li}", days, 1), (f"relu{li}", days, 1)]
+            slide += [(f"conv{li}", 1, kh), (f"bn{li}", 1, 1), (f"relu{li}", 1, 1)]
+        assert per_window == [refill, *[slide] * (len(windows) - 1), refill]
 
     @pytest.mark.parametrize("tensor", ["conv1.weight", "bn2.running_var"])
     def test_network_changed_in_place_refills(self, tensor):
