@@ -338,23 +338,49 @@ def daily_return_matrix(dataset: MarketDataset) -> np.ndarray:
     return dataset.close[1:] / dataset.close[:-1] - 1.0
 
 
-def _mahalanobis_sq(deviation: np.ndarray, covariance: np.ndarray) -> float:
-    return float(deviation @ np.linalg.solve(covariance, deviation))
+def _mahalanobis_sq(deviation: np.ndarray, covariance: np.ndarray) -> np.ndarray:
+    """``deviation @ inv(covariance) @ deviation`` for each vector of a
+    ``(..., D)`` stack and its ``(..., D, D)`` matrix, by one batched solve."""
+    solved = np.linalg.solve(covariance, deviation[..., None])[..., 0]
+    return np.einsum("...i,...i->...", deviation, solved)
+
+
+# Days whose covariances one batched solve takes at once.
+_TURBULENCE_BLOCK = 64
+
+
+def check_turbulence_lookback(lookback: int, tickers: int) -> None:
+    """Raise unless ``lookback`` daily returns are enough for the turbulence
+    index of ``tickers`` tickers: at least D + 2 of them."""
+    if lookback < tickers + 2:
+        raise DataError(f"lookback {lookback} too small for {tickers} tickers (need >= D + 2)")
 
 
 def compute_turbulence(dataset: MarketDataset, lookback: int = 252, ridge: float = 1e-6) -> np.ndarray:
     """Per-day turbulence, aligned to the dataset's days: the squared
     Mahalanobis distance of each day's return vector from the mean of the
     prior ``lookback`` daily returns, under their ridge-regularized sample
-    covariance.
+    covariance (Kritzman and Li's index, as FinRL logs it).
 
     Day t is defined once t-1 .. t-lookback all have returns, i.e. from day
     index ``lookback + 1`` on. Earlier entries are NaN, before the lookback
     fills; defined entries are nonnegative.
+
+    There is no loop over days. Each window's sum and sum of outer products
+    are the first window's plus cumulative sums of what each later window
+    gains (the previous day's return) and loses (the return ``lookback``
+    days before that one). The sums run over blocks of
+    :data:`_TURBULENCE_BLOCK` days, each block starting from the last one's
+    final window, so no array grows with the series. A window's covariance
+    is then ``(Σ r rᵀ - lookback · m mᵀ) / (lookback - 1)``, with m its
+    mean, and one batched solve per block gives the distances. The returns
+    are first centred on their mean over the whole series. The index does
+    not change under that shift, and without it this one-pass covariance
+    would subtract two nearly equal terms wherever the drift dwarfs the
+    day-to-day spread.
     """
     d = dataset.ticker_count
-    if lookback < d + 2:
-        raise DataError(f"lookback {lookback} too small for {d} tickers (need >= D + 2)")
+    check_turbulence_lookback(lookback, d)
     n = dataset.n_days
     first_defined = lookback + 1
     if n <= first_defined:
@@ -362,13 +388,33 @@ def compute_turbulence(dataset: MarketDataset, lookback: int = 252, ridge: float
             f"need more than {first_defined} days for lookback {lookback}, have {n}"
         )
     returns = daily_return_matrix(dataset)  # returns[t-1] is day t's return
+    returns -= returns.mean(axis=0)
+    window = returns[: first_defined - 1]  # day first_defined's window
+    total, products = window.sum(axis=0), window.T @ window
     values = np.full(n, np.nan)
-    eye = np.eye(d)
-    for t in range(first_defined, n):
-        window = returns[t - 1 - lookback : t - 1]
-        mu = window.mean(axis=0)
-        cov = np.cov(window, rowvar=False, ddof=1).reshape(d, d) + ridge * eye
-        values[t] = max(_mahalanobis_sq(returns[t - 1] - mu, cov), 0.0)
+    ridged = ridge * np.eye(d)
+    for start in range(first_defined, n, _TURBULENCE_BLOCK):
+        # Day t's window is returns[t-1-lookback : t-1]; day t+1's adds
+        # returns[t-1] and drops returns[t-1-lookback].
+        own = returns[start - 1 : min(start + _TURBULENCE_BLOCK, n) - 1]
+        old = returns[start - 1 - lookback : start - 1 - lookback + len(own)]
+        sums = np.empty((len(own) + 1, d))
+        sums[0] = total
+        np.subtract(own, old, out=sums[1:])
+        np.cumsum(sums, axis=0, out=sums)
+        squares = np.empty((len(own) + 1, d, d))
+        squares[0] = products
+        np.multiply(own[:, :, None], own[:, None, :], out=squares[1:])
+        squares[1:] -= old[:, :, None] * old[:, None, :]
+        np.cumsum(squares, axis=0, out=squares)
+        total, products = sums[-1], squares[-1].copy()
+        mean = sums[:-1] / lookback
+        covariance = squares[:-1]
+        covariance -= sums[:-1, :, None] * mean[:, None, :]
+        covariance /= lookback - 1
+        covariance += ridged
+        distance = _mahalanobis_sq(own - mean, covariance)
+        values[start : start + len(own)] = np.maximum(distance, 0.0)
     return values
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from shufflerl.data import MarketDataset, compute_turbulence, render_csv
+from shufflerl.data import MarketDataset, check_turbulence_lookback, compute_turbulence, render_csv
 from shufflerl.errors import EpisodeDoneError, InsufficientHistoryError, ShuffleRlError
 from shufflerl.features import (
     FeatureLayout,
@@ -64,11 +64,14 @@ class EnvConfig:
             raise ShuffleRlError(f"turbulence_lookback must be None or >= 1, got {self.turbulence_lookback}")
 
     def check_history(self, dataset: MarketDataset) -> None:
-        """Raise unless ``dataset`` has a day past the first window."""
+        """Raise unless ``dataset`` has a day past the first window and the
+        turbulence lookback suits its ticker count."""
         if self.window_length >= dataset.n_days:
             raise InsufficientHistoryError(
                 f"need window_length < n_days: {self.window_length} >= {dataset.n_days}"
             )
+        if self.turbulence_lookback is not None:
+            check_turbulence_lookback(self.turbulence_lookback, dataset.ticker_count)
 
 
 @dataclass(frozen=True)
@@ -211,8 +214,9 @@ class TradingEnv:
         try:
             return compute_turbulence(self.dataset, lookback)
         except InsufficientHistoryError:
-            # Monitoring only: short datasets log NaN instead of failing. A
-            # lookback too small for the ticker count raises a DataError.
+            # Monitoring only: short datasets log NaN instead of failing.
+            # check_history has already rejected a lookback too small for
+            # the ticker count.
             return np.full(self.dataset.n_days, np.nan)
 
     def _day_vector(self, day: int) -> np.ndarray:

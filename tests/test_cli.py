@@ -1022,6 +1022,28 @@ class TestCliCompare:
             learning_rates[run_dir.name] = manifest["metadata"]["ppo"]["learning_rate"]
         assert learning_rates == {"mlp-seed0": 1e-3, "cnn-shuffled-seed0": 3e-4}
 
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_lookback_too_small_fails_before_the_out_dir(self, tmp_path, capsys, command):
+        # Three tickers need a turbulence lookback of at least D + 2 = 5.
+        save_archive(generate_synthetic_market(seed=5, tickers=3, days=24), tmp_path / "arch")
+        cfg = base_config(tmp_path / "arch", out=tmp_path / "out", agents=[MLP_AGENT, CNN_AGENT])
+        write_json(tmp_path / "good.json", cfg)
+        cfg["env"]["turbulence_lookback"] = 4
+        write_json(tmp_path / "bad.json", cfg)
+        message = "data error: lookback 4 too small for 3 tickers (need >= D + 2)\n"
+
+        assert main([command, "--config", str(tmp_path / "bad.json")]) == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "out").exists()
+
+        assert main([command, "--config", str(tmp_path / "good.json")]) == 0
+        written = {path: path.read_bytes() for path in (tmp_path / "out").rglob("*") if path.is_file()}
+        assert tmp_path / "out" / "manifest.json" in written
+        capsys.readouterr()
+        assert main([command, "--config", str(tmp_path / "bad.json")]) == 2
+        assert capsys.readouterr().err == message
+        assert {path: path.read_bytes() for path in (tmp_path / "out").rglob("*") if path.is_file()} == written
+
     def test_manifest_config_reparses(self, tmp_path, archive):
         cfg = base_config(archive, out=tmp_path / "cmp", agents=[MLP_AGENT, CNN_AGENT])
         cfg["split"] = {"train_fraction": 0.7}

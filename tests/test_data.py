@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from datetime import date
 
 import numpy as np
@@ -400,6 +401,66 @@ class TestTurbulence:
         rets = daily_return_matrix(toy_market)
         assert rets.shape == (4, 2)
         assert rets[0, 0] == pytest.approx(0.1)
+
+
+def turbulence_reference(dataset, lookback=252, ridge=1e-6):
+    """The index one day at a time: one ``np.cov`` and one solve per day."""
+    d, n = dataset.ticker_count, dataset.n_days
+    returns = daily_return_matrix(dataset)
+    values = np.full(n, np.nan)
+    for t in range(lookback + 1, n):
+        window = returns[t - 1 - lookback : t - 1]
+        mu = window.mean(axis=0)
+        cov = np.cov(window, rowvar=False, ddof=1).reshape(d, d) + ridge * np.eye(d)
+        deviation = returns[t - 1] - mu
+        values[t] = max(float(deviation @ np.linalg.solve(cov, deviation)), 0.0)
+    return values
+
+
+def twin_market():
+    """Three tickers, the first two with identical prices."""
+    close = generate_synthetic_market(seed=4, tickers=2, days=80, volatility=0.02).close
+    return make_dataset(close[:, [0, 0, 1]])
+
+
+class TestBatchedTurbulence:
+    """``compute_turbulence`` against the per-day loop."""
+
+    @pytest.mark.parametrize("dataset, lookback, ridge, defined", [
+        # The benchmark's shape: 30 tickers, lookback 252, 900 days.
+        (generate_synthetic_market(seed=1, tickers=30, days=900), 252, 1e-6, 647),
+        # Exactly one defined day.
+        (generate_synthetic_market(seed=2, tickers=3, days=12), 10, 1e-6, 1),
+        # The shortest lookback there is, over several blocks of days.
+        (generate_synthetic_market(seed=3, tickers=5, days=400, volatility=0.02), 7, 1e-6, 392),
+        # Drift dominates the day-to-day spread.
+        (generate_synthetic_market(seed=3, tickers=30, days=900, drift=0.01, volatility=1e-4), 252, 1e-6, 647),
+        # Drift 1e4 times the spread, under a ridge too small to hide it:
+        # without centring, the one-pass covariance is off by about 2e-6.
+        (generate_synthetic_market(seed=3, tickers=30, days=900, drift=0.01, volatility=1e-6), 252, 1e-14, 647),
+        # Two tickers move together, so only the ridge keeps the covariance regular.
+        (twin_market(), 20, 1e-6, 59),
+    ], ids=["benchmark", "one-day", "minimal-lookback", "drift", "drift-tiny-ridge", "twins"])
+    def test_matches_the_per_day_loop(self, dataset, lookback, ridge, defined):
+        series = compute_turbulence(dataset, lookback=lookback, ridge=ridge)
+        expected = turbulence_reference(dataset, lookback=lookback, ridge=ridge)
+        np.testing.assert_array_equal(np.isnan(series), np.isnan(expected))
+        assert np.isfinite(series).sum() == defined
+        np.testing.assert_allclose(series, expected, rtol=1e-9, atol=0)
+
+    def test_memory_at_benchmark_shape(self):
+        # ppo.evaluate builds its env while the network is loaded, so what
+        # this call holds adds to a backtest's peak RSS. One (days, D, D)
+        # array of cumulative sums (6.5 MB here) would lift the backtest-cnn
+        # benchmark's peak_rss_mb by megabytes.
+        dataset = generate_synthetic_market(seed=1, tickers=30, days=900)
+        tracemalloc.start()
+        try:
+            compute_turbulence(dataset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestSplitByDate:
